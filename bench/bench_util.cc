@@ -136,17 +136,6 @@ parseOptions(int argc, char **argv, const char *what)
                 std::exit(2);
             }
             opt.jobs = static_cast<unsigned>(n);
-        } else if (arg == "--shards") {
-            const std::uint64_t n =
-                parseUint(what, "--shards", next());
-            if (n > 1024) {
-                std::fprintf(stderr,
-                             "%s: --shards must be in [0, 1024], got "
-                             "%llu\n",
-                             what, static_cast<unsigned long long>(n));
-                std::exit(2);
-            }
-            opt.shards = static_cast<std::uint32_t>(n);
         } else if (arg == "--workloads") {
             opt.workloads = splitCommas(next());
         } else if (arg == "--manifest") {
@@ -225,7 +214,7 @@ parseOptions(int argc, char **argv, const char *what)
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "%s\noptions: --full | --requests N | --seed N |"
-                " --jobs N | --shards N | --workloads a,b,c |"
+                " --jobs N | --workloads a,b,c |"
                 " --manifest FILE |"
                 " --out DIR | --emit stats,traces,decisions,perf |"
                 " --interval-us N | --trace-sample N | --perf |"
@@ -337,7 +326,6 @@ timingJob(const SimConfig &config, const std::string &workload,
     BatchJob job;
     job.kind = JobKind::kTiming;
     job.config = config;
-    job.config.shards = opt.shards;
     job.config.statsIntervalPs = opt.statsIntervalPs();
     job.config.tracer.enabled = opt.artifacts.wantTraces();
     job.config.tracer.sampleEvery = opt.traceSample;

@@ -16,9 +16,6 @@
  *                    external traces) and exit
  *   --seed N         generator seed
  *   --jobs N         worker threads (default: hardware concurrency)
- *   --shards N       intra-simulation PDES shards (sim.shards); 0 =
- *                    serial kernel. Output is byte-identical at any
- *                    value — only host parallelism changes.
  *   --out DIR        run directory for every per-job artifact; fixed
  *                    subdirs stats/ (JSON + JSONL registry exports),
  *                    traces/ (Chrome trace-event JSON), decisions/
@@ -67,7 +64,6 @@ struct Options
     std::uint64_t requests = 0; //!< 0 = pick by mode
     std::uint64_t seed = 42;
     unsigned jobs = 0; //!< worker threads; 0 = hardware concurrency
-    std::uint32_t shards = 0; //!< sim.shards; 0 = serial kernel
     std::vector<std::string> workloads; //!< empty = pick by mode
     std::vector<std::string> manifests; //!< traces.json paths loaded
     ArtifactSink artifacts; //!< --out run dir + --emit enable bits

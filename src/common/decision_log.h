@@ -11,10 +11,9 @@
  * compared per decision.
  *
  * Determinism contract: all mutations happen from manager callbacks,
- * which the PDES kernel executes in the coordinator domain in
- * canonical order. Every field is derived from simulated time and
- * policy state only, so the ledger — and its JSONL export — is
- * byte-identical at any `--jobs`/`--shards` setting.
+ * which the event kernel executes in canonical order. Every field is
+ * derived from simulated time and policy state only, so the ledger —
+ * and its JSONL export — is byte-identical at any `--jobs` setting.
  */
 #pragma once
 

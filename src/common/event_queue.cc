@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/log.h"
-#include "common/tracer.h"
 
 namespace mempod {
 
@@ -59,78 +58,10 @@ EventQueue::scheduleIn(DomainId target, TimePs when, Callback cb)
                   "event scheduled in the past (when=%llu now=%llu)",
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(now_));
-    TimePs sched_time;
-    std::uint64_t masked;
-    if (haveOverride_) {
-        // A deferred cross-domain hand-off replays the key its serial
-        // counterpart consumed at the original call site.
-        haveOverride_ = false;
-        sched_time = overrideKey_.schedTime;
-        masked = overrideKey_.ord;
-    } else {
-        sched_time = now_;
-        masked = nextOrd();
-    }
-    if (routeCross_ && target != homeDomain_) {
-        // Sharded per-domain queue: the only legal foreign target is
-        // the coordinator (channel completions); the executor merges
-        // the outbox at the next horizon barrier.
-        MEMPOD_ASSERT(target == kCoordinatorDomain,
-                      "cross-domain schedule to domain %u (only the "
-                      "coordinator may be targeted across domains)",
-                      static_cast<unsigned>(target));
-        outbox_.push_back(CrossEvent{
-            target, EventKey{when, sched_time, masked}, std::move(cb)});
-        return;
-    }
     ++size_;
     if (size_ > host_.peakPending)
         host_.peakPending = size_;
-    place(Event{when, sched_time, packOrd(target, masked),
-                std::move(cb)});
-}
-
-void
-EventQueue::admitForeign(DomainId exec, EventKey key, Callback cb)
-{
-    MEMPOD_ASSERT(key.when >= now_,
-                  "foreign event arrives in this domain's past "
-                  "(when=%llu now=%llu)",
-                  static_cast<unsigned long long>(key.when),
-                  static_cast<unsigned long long>(now_));
-    ++size_;
-    if (size_ > host_.peakPending)
-        host_.peakPending = size_;
-    place(Event{key.when, key.schedTime, packOrd(exec, key.ord),
-                std::move(cb)});
-}
-
-EventKey
-EventQueue::reserveKey()
-{
-    return EventKey{now_, now_, nextOrd()};
-}
-
-void
-EventQueue::beginApply(TimePs when, EventKey key)
-{
-    MEMPOD_ASSERT(when >= now_, "apply rewinds domain time");
-    MEMPOD_ASSERT(!haveOverride_, "unconsumed apply key");
-    now_ = when;
-    overrideKey_ = key;
-    haveOverride_ = true;
-    ctxDomain_ = static_cast<DomainId>(key.ord >> kCounterBits);
-    if (tracer_)
-        tracer_->setEventKey(EventKey{when, key.schedTime, key.ord});
-}
-
-void
-EventQueue::endApply()
-{
-    // The hand-off may legitimately schedule nothing (e.g. a
-    // controller tick already armed at an earlier time).
-    haveOverride_ = false;
-    ctxDomain_ = homeDomain_;
+    place(Event{when, now_, packOrd(target, nextOrd()), std::move(cb)});
 }
 
 EventQueue::EventList *
@@ -371,26 +302,6 @@ EventQueue::peekNextTime()
     return min_when;
 }
 
-bool
-EventQueue::peekNextKey(EventKey &out)
-{
-    const Event *best = nullptr;
-    if (!front_.empty()) {
-        best = &front_.front();
-    } else if (drain_ != nullptr) {
-        best = &(*drain_)[drainPos_];
-    } else {
-        std::uint64_t tick;
-        if (!findNextSlot(tick))
-            return false;
-        for (const Event &ev : *wheels_[0].slots[tick & (kSlots - 1)])
-            if (best == nullptr || earlier(ev, *best))
-                best = &ev;
-    }
-    out = EventKey{best->when, best->schedTime, best->ord & kOrderMask};
-    return true;
-}
-
 TimePs
 EventQueue::nextTime() const
 {
@@ -406,10 +317,7 @@ EventQueue::dispatch(Event &ev)
     now_ = ev.when;
     ctxDomain_ =
         static_cast<DomainId>(ev.ord >> (kCounterBits + kDomainBits));
-    currentKey_ = EventKey{ev.when, ev.schedTime, ev.ord & kOrderMask};
     ++executed_;
-    if (tracer_)
-        tracer_->setEventKey(currentKey_);
     ev.cb();
 }
 

@@ -6,13 +6,6 @@
  * trace frontend, migration engines) schedules callbacks on a single
  * global queue; components that are idle schedule nothing, so
  * simulated idle time costs no host time.
- *
- * For sharded runs (sim.shards > 0) the same class doubles as a
- * per-domain queue: each DRAM channel owns one EventQueue and the
- * coordinator (frontend + managers) owns another, and the conservative
- * PDES executor in sim/parallel.{h,cc} stitches them together. The
- * canonical event order below is what makes the sharded run
- * byte-identical to the serial one.
  */
 #pragma once
 
@@ -29,49 +22,12 @@ namespace mempod {
 
 class Tracer;
 
-/** Execution domain: 0 is the coordinator, 1+i is DRAM channel i. */
-using DomainId = std::uint32_t;
-
 /**
- * Canonical total order over events, shared by the serial kernel and
- * the sharded executor:
- *
- *   (when, schedTime, schedDomain, schedCounter)
- *
- * `when` is the event's due time; `schedTime` is the simulated time of
- * the schedule() call; `schedDomain` is the domain whose code made the
- * call and `schedCounter` is that domain's monotone call counter. The
- * last two are packed into `ord` (domain in the high bits), so the
- * comparison is (when, schedTime, ord). The key is a deterministic
- * function of the simulated history alone — it does not depend on how
- * domains are partitioned across threads — which is what lets any
- * shard count reproduce the serial event order exactly. Including
- * schedTime makes the order coincide with the legacy global-sequence
- * FIFO tie-break whenever the scheduling calls happened at different
- * instants, i.e. almost always.
+ * Execution domain: 0 is the coordinator (frontend, managers, timers,
+ * completions), 1+i is DRAM channel i's controller. Domains are
+ * ordering tags, not threads: they only rank same-instant ties.
  */
-struct EventKey
-{
-    TimePs when = 0;
-    TimePs schedTime = 0;
-    std::uint64_t ord = 0; //!< schedDomain << kCounterBits | counter
-
-    friend bool
-    operator<(const EventKey &a, const EventKey &b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.schedTime != b.schedTime)
-            return a.schedTime < b.schedTime;
-        return a.ord < b.ord;
-    }
-    friend bool
-    operator==(const EventKey &a, const EventKey &b)
-    {
-        return a.when == b.when && a.schedTime == b.schedTime &&
-               a.ord == b.ord;
-    }
-};
+using DomainId = std::uint32_t;
 
 /**
  * Hierarchical timing-wheel discrete-event queue.
@@ -87,10 +43,19 @@ struct EventKey
  * recycled through a free list, so steady-state scheduling performs
  * no allocation.
  *
- * Ordering guarantee: events execute in ascending EventKey order (see
- * above). For a single scheduling domain this is exactly the legacy
- * (when, global seq) order; across domains the key is partition-
- * independent, so the sharded executor reproduces it bit for bit.
+ * Ordering guarantee: events execute in ascending canonical order
+ *
+ *   (when, schedTime, schedDomain, schedCounter)
+ *
+ * `when` is the event's due time; `schedTime` is the simulated time of
+ * the schedule() call; `schedDomain` is the domain of the event whose
+ * callback made the call and `schedCounter` is that domain's monotone
+ * call counter. Including schedTime makes the order coincide with a
+ * global FIFO tie-break whenever the scheduling calls happened at
+ * different instants, i.e. almost always; same-instant ties from
+ * different domains resolve by domain rank. The golden results pin
+ * this order, so a single global counter is *not* a drop-in
+ * replacement for the per-domain ones.
  */
 class EventQueue
 {
@@ -114,7 +79,7 @@ class EventQueue
     static constexpr TimePs kWheelSpanPs =
         TimePs{1} << (kTickShift + kWheels * kSlotBits);
 
-    /** Key packing: 40-bit per-domain counter, 12-bit domain ids. */
+    /** Order packing: 40-bit per-domain counter, 12-bit domain ids. */
     static constexpr unsigned kCounterBits = 40;
     static constexpr unsigned kDomainBits = 12;
     static constexpr std::uint64_t kOrderMask =
@@ -130,15 +95,15 @@ class EventQueue
     TimePs now() const { return now_; }
 
     /**
-     * Schedule `cb` at absolute time `when` in this queue's home
-     * domain. Scheduling in the past is a simulator bug (panics).
-     * Events at the same timestamp run in canonical key order, which
-     * for one domain is stable FIFO scheduling order.
+     * Schedule `cb` at absolute time `when` to execute in the
+     * coordinator domain. Scheduling in the past is a simulator bug
+     * (panics). Events at the same timestamp run in canonical order,
+     * which for one scheduling domain is stable FIFO order.
      */
     void
     schedule(TimePs when, Callback cb)
     {
-        scheduleIn(homeDomain_, when, std::move(cb));
+        scheduleIn(kCoordinatorDomain, when, std::move(cb));
     }
 
     /** Schedule `cb` `delta` picoseconds from now. */
@@ -148,11 +113,8 @@ class EventQueue
     }
 
     /**
-     * Schedule `cb` to execute in domain `target`. On the serial
-     * single-queue kernel every domain is local; on a sharded
-     * per-domain queue a non-home target (only the coordinator is
-     * legal) is staged in the cross-domain outbox for the executor to
-     * merge at the next horizon barrier.
+     * Schedule `cb` to execute in domain `target`: while it runs, the
+     * schedule calls it makes draw from `target`'s counter.
      */
     void scheduleIn(DomainId target, TimePs when, Callback cb);
 
@@ -213,76 +175,6 @@ class EventQueue
      */
     Tracer *tracer() const { return tracer_; }
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
-
-    // ------------------------------------------------------------------
-    // Sharded-executor surface (sim/parallel.{h,cc}). The serial
-    // simulation never calls anything below; the methods exist so the
-    // executor can reproduce the canonical order across queues.
-    // ------------------------------------------------------------------
-
-    /**
-     * The domain this queue's events belong to by default. The serial
-     * kernel keeps the default 0 and hosts every domain; a sharded
-     * per-channel queue is set to its channel's domain.
-     */
-    void
-    setHomeDomain(DomainId d)
-    {
-        homeDomain_ = d;
-        ctxDomain_ = d;
-    }
-    DomainId homeDomain() const { return homeDomain_; }
-
-    /** Cross-domain event staged by scheduleIn on a sharded queue. */
-    struct CrossEvent
-    {
-        DomainId target;
-        EventKey key; //!< key.when is the event's due time
-        Callback cb;
-    };
-
-    /**
-     * When enabled, scheduleIn to a non-home domain appends to the
-     * outbox instead of placing locally. Only per-domain queues under
-     * the executor enable this.
-     */
-    void routeCrossDomain(bool on) { routeCross_ = on; }
-    std::vector<CrossEvent> &outbox() { return outbox_; }
-
-    /**
-     * Insert an event carried over from another queue's outbox,
-     * preserving the key it was assigned at its original schedule
-     * call. The canonical comparator makes insertion order irrelevant.
-     */
-    void admitForeign(DomainId exec, EventKey key, Callback cb);
-
-    /**
-     * Consume the next scheduling key for the current context without
-     * scheduling anything. The executor reserves the key a deferred
-     * cross-domain enqueue *would* have consumed, so per-domain
-     * counters stay order-isomorphic with the serial run (gaps from
-     * reservations that end up unused are harmless: only the relative
-     * order of assigned keys matters).
-     */
-    EventKey reserveKey();
-
-    /** Key of the event currently executing (valid inside runOne). */
-    const EventKey &currentKey() const { return currentKey_; }
-
-    /**
-     * Bracket a deferred cross-domain hand-off (an inbox delivery):
-     * advances now_ to key.when and primes `key` as the override for
-     * the hand-off's first schedule call, so that call lands on the
-     * exact key the serial run assigned it. Not an executed event.
-     */
-    void beginApply(TimePs when, EventKey key);
-    void endApply();
-
-    /**
-     * Canonical key of the earliest pending event. Returns false when
-     * empty. Like nextTime(), may cascade slots (logically const).
-     */
-    bool peekNextKey(EventKey &out);
 
   private:
     struct Event
@@ -349,13 +241,8 @@ class EventQueue
     TimePs now_ = 0;
     /** Per-domain schedule-call counters, indexed by DomainId. */
     std::vector<std::uint64_t> counters_;
-    DomainId homeDomain_ = kCoordinatorDomain;
+    /** Domain of the executing (or last executed) event. */
     DomainId ctxDomain_ = kCoordinatorDomain;
-    EventKey currentKey_{};
-    EventKey overrideKey_{};
-    bool haveOverride_ = false;
-    bool routeCross_ = false;
-    std::vector<CrossEvent> outbox_;
     std::uint64_t executed_ = 0;
     std::size_t size_ = 0;
     std::uint64_t cascades_ = 0;

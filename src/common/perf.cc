@@ -92,7 +92,6 @@ PerfMonitor::report(std::uint64_t sim_time_ps, std::uint64_t events) const
     r.gauges = gauges_;
     for (const auto &[name, h] : histograms_)
         r.histograms.emplace(name, h.buckets());
-    r.shards = shards_;
     return r;
 }
 
@@ -103,7 +102,6 @@ PerfReport::merge(const PerfReport &other)
     maxRssKib = std::max(maxRssKib, other.maxRssKib);
     simTimePs += other.simTimePs;
     eventsExecuted += other.eventsExecuted;
-    windows += other.windows;
     for (const auto &[name, ns] : other.phasesNs) {
         bool found = false;
         for (auto &[mine, total] : phasesNs) {
@@ -127,13 +125,6 @@ PerfReport::merge(const PerfReport &other)
             mine.resize(b.size(), 0);
         for (std::size_t i = 0; i < b.size(); ++i)
             mine[i] += b[i];
-    }
-    if (shards.size() < other.shards.size())
-        shards.resize(other.shards.size());
-    for (std::size_t s = 0; s < other.shards.size(); ++s) {
-        shards[s].busyNs += other.shards[s].busyNs;
-        shards[s].stallNs += other.shards[s].stallNs;
-        shards[s].events += other.shards[s].events;
     }
     // Recompute the aggregate rate from the merged totals.
     std::uint64_t run_ns = 0;
@@ -172,28 +163,6 @@ PerfReport::printTable(std::FILE *out, const std::string &title) const
                          total ? 100.0 * static_cast<double>(ns) /
                                      static_cast<double>(total)
                                : 0.0);
-        }
-    }
-    if (!shards.empty()) {
-        std::fprintf(out,
-                     "shards (%zu, %llu windows):\n", shards.size(),
-                     static_cast<unsigned long long>(windows));
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-            const Shard &sh = shards[s];
-            const double denom =
-                static_cast<double>(sh.busyNs + sh.stallNs);
-            std::fprintf(
-                out,
-                "  shard %-2zu busy %10.3f ms (%5.1f%%)  stall "
-                "%10.3f ms (%5.1f%%)  events %llu\n",
-                s, static_cast<double>(sh.busyNs) / 1e6,
-                denom > 0 ? 100.0 * static_cast<double>(sh.busyNs) / denom
-                          : 0.0,
-                static_cast<double>(sh.stallNs) / 1e6,
-                denom > 0
-                    ? 100.0 * static_cast<double>(sh.stallNs) / denom
-                    : 0.0,
-                static_cast<unsigned long long>(sh.events));
         }
     }
     if (!counters.empty()) {

@@ -4,19 +4,14 @@
  * time go, as opposed to the simulated system's (common/metrics.h).
  *
  * A PerfMonitor accumulates wall-clock phase times (RAII PerfScope on
- * a monotonic clock), named host counters/gauges/histograms, and
- * per-shard busy/stall lanes for the PDES executor. Everything here is
- * strictly *outside* deterministic simulation state: host time is only
- * ever read, never fed back into event scheduling, so enabling the
- * monitor cannot change a single output byte at any --shards/--jobs
- * value (proven by pdes_determinism_test). When no monitor is attached
- * the instrumented layers pay exactly one branch on a null pointer.
- *
- * Thread discipline: the monitor itself is not locked. The coordinator
- * thread owns the maps; worker threads touch only their own shard lane
- * (resized once, before workers observe the monitor), and every lane
- * hand-off in sim/parallel.cc flows through the executor's mutex, so
- * the accesses are ordered without atomics.
+ * a monotonic clock) and named host counters/gauges/histograms.
+ * Everything here is strictly *outside* deterministic simulation
+ * state: host time is only ever read, never fed back into event
+ * scheduling, so enabling the monitor cannot change a single output
+ * byte at any --jobs value (PerfMonitor.DoesNotPerturbOutput). When no
+ * monitor is attached the instrumented layers pay exactly one branch
+ * on a null pointer. One monitor belongs to one Simulation and is not
+ * locked.
  */
 #pragma once
 
@@ -59,7 +54,6 @@ struct PerfReport
     std::uint64_t simTimePs = 0;     //!< simulated time covered
     std::uint64_t eventsExecuted = 0;
     double eventsPerSecond = 0.0;    //!< events / run-phase seconds
-    std::uint64_t windows = 0;       //!< PDES windows (0 when serial)
 
     /** Phase wall times, in first-recorded order (setup/run/report). */
     std::vector<std::pair<std::string, std::uint64_t>> phasesNs;
@@ -68,15 +62,6 @@ struct PerfReport
     std::map<std::string, double> gauges;
     /** Log2 bucket arrays; bucket b>=1 covers [2^(b-1), 2^b). */
     std::map<std::string, std::vector<std::uint64_t>> histograms;
-
-    /** One PDES worker shard's host accounting. */
-    struct Shard
-    {
-        std::uint64_t busyNs = 0;  //!< running lane events
-        std::uint64_t stallNs = 0; //!< parked at the window barrier
-        std::uint64_t events = 0;  //!< lane events it executed
-    };
-    std::vector<Shard> shards;
 
     /** Fold another report into this one (bench aggregation). */
     void merge(const PerfReport &other);
@@ -124,11 +109,6 @@ class PerfMonitor
         return histograms_[name];
     }
 
-    /** Size the per-shard lanes; call before workers see the monitor. */
-    void resizeShards(std::size_t n) { shards_.resize(n); }
-    PerfReport::Shard &shard(std::size_t s) { return shards_[s]; }
-    std::size_t numShards() const { return shards_.size(); }
-
     /**
      * Rate-limited heartbeat: true when at least `interval_ns` of wall
      * time passed since the last true return (or since construction).
@@ -151,7 +131,6 @@ class PerfMonitor
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, Log2Histogram> histograms_;
-    std::vector<PerfReport::Shard> shards_;
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "common/tracer.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -63,8 +62,7 @@ TraceArgs::add(const char *key, const char *v)
     return *this;
 }
 
-Tracer::Tracer(const TracerConfig &cfg, bool staging)
-    : cfg_(cfg), staging_(staging)
+Tracer::Tracer(const TracerConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.sampleEvery == 0)
         cfg_.sampleEvery = 1;
@@ -95,104 +93,55 @@ void
 Tracer::durBegin(std::uint32_t tid, TimePs ts, const char *name,
                  std::string args)
 {
-    events_.push_back(
-        {ts, 'B', tid, 0, name, nullptr, std::move(args), curKey_});
+    events_.push_back({ts, 'B', tid, 0, name, nullptr, std::move(args)});
 }
 
 void
 Tracer::durEnd(std::uint32_t tid, TimePs ts)
 {
-    events_.push_back({ts, 'E', tid, 0, "", nullptr, {}, curKey_});
+    events_.push_back({ts, 'E', tid, 0, "", nullptr, {}});
 }
 
 void
 Tracer::instant(std::uint32_t tid, TimePs ts, const char *name,
                 std::string args)
 {
-    events_.push_back(
-        {ts, 'i', tid, 0, name, nullptr, std::move(args), curKey_});
+    events_.push_back({ts, 'i', tid, 0, name, nullptr, std::move(args)});
 }
 
 void
 Tracer::asyncBegin(std::uint32_t tid, TimePs ts, const char *cat,
                    std::uint64_t id, const char *name, std::string args)
 {
-    events_.push_back(
-        {ts, 'b', tid, id, name, cat, std::move(args), curKey_});
+    events_.push_back({ts, 'b', tid, id, name, cat, std::move(args)});
 }
 
 void
 Tracer::asyncEnd(std::uint32_t tid, TimePs ts, const char *cat,
                  std::uint64_t id, const char *name, std::string args)
 {
-    events_.push_back(
-        {ts, 'e', tid, id, name, cat, std::move(args), curKey_});
+    events_.push_back({ts, 'e', tid, id, name, cat, std::move(args)});
 }
 
 void
 Tracer::flowStart(std::uint32_t tid, TimePs ts, const char *cat,
                   std::uint64_t id, const char *name)
 {
-    events_.push_back({ts, 's', tid, id, name, cat, {}, curKey_});
+    events_.push_back({ts, 's', tid, id, name, cat, {}});
 }
 
 void
 Tracer::flowStep(std::uint32_t tid, TimePs ts, const char *cat,
                  std::uint64_t id, const char *name)
 {
-    events_.push_back({ts, 't', tid, id, name, cat, {}, curKey_});
+    events_.push_back({ts, 't', tid, id, name, cat, {}});
 }
 
 void
 Tracer::flowEnd(std::uint32_t tid, TimePs ts, const char *cat,
                 std::uint64_t id, const char *name)
 {
-    events_.push_back({ts, 'f', tid, id, name, cat, {}, curKey_});
-}
-
-void
-Tracer::absorb(const std::vector<Tracer *> &staged)
-{
-    // Global order: (event key, buffer, intra-buffer index). Keys are
-    // unique per event and every event runs in exactly one domain, so
-    // records with equal keys always come from one buffer and the
-    // (buffer, index) tail only serializes same-event records — in
-    // their emission order, exactly as the serial run appended them.
-    struct Ref
-    {
-        std::uint32_t buf;
-        std::uint32_t idx;
-    };
-    std::vector<Ref> order;
-    std::size_t total = 0;
-    for (const Tracer *t : staged)
-        total += t->events_.size();
-    order.reserve(total);
-    for (std::uint32_t b = 0; b < staged.size(); ++b)
-        for (std::uint32_t i = 0; i < staged[b]->events_.size(); ++i)
-            order.push_back({b, i});
-    std::sort(order.begin(), order.end(),
-              [&](const Ref &a, const Ref &b) {
-                  const Event &ea = staged[a.buf]->events_[a.idx];
-                  const Event &eb = staged[b.buf]->events_[b.idx];
-                  if (!(ea.key == eb.key))
-                      return ea.key < eb.key;
-                  if (a.buf != b.buf)
-                      return a.buf < b.buf;
-                  return a.idx < b.idx;
-              });
-    events_.reserve(events_.size() + total);
-    for (const Ref &r : order) {
-        Tracer *src = staged[r.buf];
-        Event ev = std::move(src->events_[r.idx]);
-        // Re-intern the track on first touch: absorb order is the
-        // serial emission order, so master track ids (and thread_name
-        // metadata order) match the serial run.
-        ev.tid = track(src->trackNames_[ev.tid]);
-        events_.push_back(std::move(ev));
-    }
-    for (Tracer *t : staged)
-        t->events_.clear();
+    events_.push_back({ts, 'f', tid, id, name, cat, {}});
 }
 
 std::string

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/event_queue.h"
 #include "common/types.h"
 
 namespace mempod {
@@ -58,12 +57,7 @@ class TraceArgs
 class Tracer
 {
   public:
-    /**
-     * `staging` instances buffer one execution domain's records during
-     * a sharded run; the master tracer absorb()s them post-run in
-     * canonical event-key order, reproducing the serial byte stream.
-     */
-    explicit Tracer(const TracerConfig &cfg, bool staging = false);
+    explicit Tracer(const TracerConfig &cfg);
 
     /**
      * Get (or create) the track with `name`; returns its tid. Tracks
@@ -110,26 +104,6 @@ class Tracer
     std::uint64_t sampleEvery() const { return cfg_.sampleEvery; }
 
     /**
-     * Canonical key of the event whose callback is now running; the
-     * EventQueue stamps it before each dispatch so every record can be
-     * attributed to its emitting event. Needed only to merge staged
-     * buffers, but recorded unconditionally (three stores).
-     */
-    void setEventKey(const EventKey &key) { curKey_ = key; }
-
-    /** Whether this instance is a per-domain staging buffer. */
-    bool staging() const { return staging_; }
-
-    /**
-     * Merge staged per-domain buffers into this (master) tracer.
-     * Records are interleaved by (event key, buffer, intra-buffer
-     * order) — exactly the order the serial run appended them in —
-     * and track ids are re-interned on first touch, reproducing the
-     * serial track-id assignment and metadata order byte for byte.
-     */
-    void absorb(const std::vector<Tracer *> &staged);
-
-    /**
      * Chrome trace-event JSON: {"displayTimeUnit":"ns",
      * "traceEvents":[...]} with one event per line. Timestamps are
      * microseconds rendered from picoseconds by integer division, so
@@ -147,18 +121,15 @@ class Tracer
         const char *name;   //!< static string; never freed
         const char *cat;    //!< static string or nullptr
         std::string args;   //!< preformatted JSON object or empty
-        EventKey key;       //!< emitting event; drives absorb() merge
     };
 
     static constexpr std::uint64_t kFlowIdBase = 1ull << 32;
 
     TracerConfig cfg_;
-    bool staging_ = false;
     std::map<std::string, std::uint32_t> tracks_;
     std::vector<std::string> trackNames_; //!< index = tid
     std::vector<Event> events_;
     std::uint64_t nextFlow_ = 0;
-    EventKey curKey_{};
 };
 
 } // namespace mempod

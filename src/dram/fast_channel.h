@@ -14,9 +14,7 @@
  * The service latency folds the average row activation in (every
  * access pays tRCD, none pays tRP), which keeps the constant within
  * the detailed model's hit/miss envelope without tracking rows. The
- * completion delta is always >= tRCD + tCL + tBL + extra, which
- * dominates the PDES lookahead bound (min(tCL, tCWL) + tBL + extra),
- * so the fast model is safe under any shard count.
+ * completion delta is always >= tRCD + tCL + tBL + extra.
  *
  * Statistics: reads/writes, bus occupancy, demand queue-wait/service
  * attribution and queue depth are maintained with the same meanings

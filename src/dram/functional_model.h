@@ -10,10 +10,6 @@
  * decision ledger) sees the full demand and migration stream, while
  * the memory system costs a couple of counter increments per line
  * instead of an event cascade.
- *
- * Serial-kernel only: synchronous completion would run manager and
- * frontend code on a shard worker under the PDES executor, so the
- * Simulation refuses to combine this model with sim.shards > 0.
  */
 #pragma once
 

@@ -18,9 +18,8 @@
  *
  * All models share the completion contract: the completion hook and
  * the request's own onComplete fire in the coordinator domain (for
- * event-driven models, via a scheduled completion whose delta is at
- * least the PDES lookahead; the functional model is serial-only and
- * fires them synchronously).
+ * event-driven models via a scheduled completion; the functional
+ * model fires them synchronously).
  */
 #pragma once
 

@@ -63,7 +63,7 @@ makeModel(DramModel kind, EventQueue &eq, const DramSpec &spec,
 MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
                            const DramSpec &fast, const DramSpec &slow,
                            TimePs extra_latency_ps,
-                           ControllerPolicy policy, const ShardPlan *plan,
+                           ControllerPolicy policy,
                            const ModelPlan &models)
     : eq_(eq),
       map_(geom,
@@ -72,15 +72,11 @@ MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
                ? slow.withChannelBytes(geom.slowBytes / geom.slowChannels)
                      .org
                : slow.org),
-      dispatch_(plan ? plan->dispatch : nullptr),
       activeModel_(models.primary)
 {
-    // Channel i always owns execution domain 1 + i — also in the
-    // serial single-queue run, so the canonical event order (and thus
-    // every output byte) is identical at any shard count.
-    const auto queue_for = [&](std::size_t i) -> EventQueue & {
-        return plan ? *plan->channelQueues[i] : eq_;
-    };
+    // Channel i owns execution domain 1 + i: its controller ticks
+    // draw from that domain's counter, which ranks same-instant ties
+    // in the canonical event order (common/event_queue.h).
     const auto add_channel = [&](const DramSpec &spec,
                                  const std::string &base) {
         const std::size_t i = slots_.size();
@@ -88,13 +84,12 @@ MemorySystem::MemorySystem(EventQueue &eq, const SystemGeometry &geom,
         auto slot = std::make_unique<Slot>();
         // Primary first: it owns the base name and the observer API.
         slot->add(models.primary,
-                  makeModel(models.primary, queue_for(i), spec, base,
+                  makeModel(models.primary, eq_, spec, base,
                             extra_latency_ps, policy, domain));
         if (models.wantsWarm())
             slot->add(models.warm,
-                      makeModel(models.warm, queue_for(i), spec,
-                                base + ".warm", extra_latency_ps,
-                                policy, domain));
+                      makeModel(models.warm, eq_, spec, base + ".warm",
+                                extra_latency_ps, policy, domain));
         slots_.push_back(std::move(slot));
     };
 
@@ -164,12 +159,6 @@ MemorySystem::access(Request req)
     }
 
     ++inFlight_;
-    if (dispatch_) {
-        // Sharded run: the executor applies the enqueue on the owning
-        // channel's queue at this call's canonical key position.
-        dispatch_(d.channel, std::move(req), ChannelAddr{d.bank, d.row});
-        return;
-    }
     slots_[d.channel]->enqueue(std::move(req),
                                ChannelAddr{d.bank, d.row});
 }

@@ -22,21 +22,6 @@
 namespace mempod {
 
 /**
- * Sharded-run wiring for the memory system. `channelQueues[i]` hosts
- * channel i's controller events (its own timing wheel under the PDES
- * executor) and `dispatch` replaces the synchronous enqueue in
- * access() with a deferred hand-off the executor applies in canonical
- * event order. Both referents must outlive the MemorySystem. The
- * serial simulation passes no plan and behaves exactly as before.
- */
-struct ShardPlan
-{
-    std::vector<EventQueue *> channelQueues;
-    std::function<void(std::size_t ch, Request req, ChannelAddr where)>
-        dispatch;
-};
-
-/**
  * Which memory models each channel hosts and which one starts active.
  * The primary model is the run's measurement fidelity (dram.model); it
  * owns the channel's base telemetry name. Sampled simulation adds a
@@ -90,7 +75,6 @@ class MemorySystem
                  const DramSpec &fast, const DramSpec &slow,
                  TimePs extra_latency_ps = 5000,
                  ControllerPolicy policy = {},
-                 const ShardPlan *plan = nullptr,
                  const ModelPlan &models = {});
 
     /** Dispatch one line transfer at a physical address. */
@@ -153,11 +137,10 @@ class MemorySystem
   private:
     /**
      * One channel's router: owns every model the plan built for the
-     * channel and forwards new enqueues to the active one. Stable
-     * identity — the PDES executor binds a lane to the Slot once and
-     * fidelity switches happen inside it — while observer methods
-     * (stats, spec, telemetry) always answer for the primary model,
-     * so detailed-only behavior is unchanged.
+     * channel and forwards new enqueues to the active one. Fidelity
+     * switches happen inside it, while observer methods (stats, spec,
+     * telemetry) always answer for the primary model, so
+     * detailed-only behavior is unchanged.
      */
     class Slot final : public MemoryModel
     {
@@ -233,7 +216,6 @@ class MemorySystem
 
     EventQueue &eq_;
     AddressMap map_;
-    std::function<void(std::size_t, Request, ChannelAddr)> dispatch_;
     std::vector<std::unique_ptr<Slot>> slots_;
     std::vector<ChannelTelemetry> views_;
     DramModel activeModel_ = DramModel::kDetailed;

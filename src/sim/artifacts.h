@@ -14,8 +14,8 @@
  *   <root>/decisions/  <stem>.decisions.jsonl (migration ledger)
  *   <root>/perf/       <stem>.perf.json       (host profiles)
  *
- * stats/traces/decisions are byte-deterministic at any --jobs/--shards
- * setting and safe to `diff -r` whole; perf/ carries wall times and is
+ * stats/traces/decisions are byte-deterministic at any --jobs setting
+ * and safe to `diff -r` whole; perf/ carries wall times and is
  * not, which is why it is a distinct subdirectory rather than a file
  * suffix — determinism checks diff the siblings and skip it.
  */

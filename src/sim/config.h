@@ -78,13 +78,11 @@ struct SimConfig
     TimePs statsIntervalPs = 0;
 
     /**
-     * Conservative-PDES sharding (`sim.shards` dotted key): 0 runs the
-     * legacy single-threaded kernel; N >= 1 gives every DRAM channel
-     * its own timing wheel and spreads the wheels over N worker
-     * threads synchronized at a lookahead horizon (see
-     * sim/parallel.h). Output is byte-identical at every value —
-     * domains, not shards, define the canonical event order — so this
-     * is purely a host-parallelism knob. Clamped to the channel count.
+     * Must be 0; Simulation panics otherwise, so the field can never
+     * silently mean something. It is not a config key and nothing in
+     * src/ reads it. Its one writer is the perfbench harness
+     * (perfbench/harness.cc assigns 0); the next change to the
+     * benchmark deletes both the assignment and this field.
      */
     std::uint32_t shards = 0;
 
@@ -135,8 +133,8 @@ struct SimConfig
 
     /**
      * Host-side self-profiling (`perf.enabled` dotted key): wall-clock
-     * phase scopes, PDES shard busy/stall accounting and a perf.json
-     * sidecar (common/perf.h). Host time is only ever *read* — it
+     * phase scopes, host counters and a perf.json sidecar
+     * (common/perf.h). Host time is only ever *read* — it
      * never feeds back into event scheduling — so enabling this
      * cannot change any simulation output byte; when disabled the
      * instrumented sites cost one branch on a null pointer.

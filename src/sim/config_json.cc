@@ -255,7 +255,6 @@ fieldTable()
                             controller.closedPage),
         MEMPOD_CONFIG_FIELD("controller.fcfs", controller.fcfs),
         MEMPOD_CONFIG_FIELD("statsIntervalPs", statsIntervalPs),
-        MEMPOD_CONFIG_FIELD("sim.shards", shards),
         MEMPOD_CONFIG_FIELD("sim.sampling.enabled", sampling.enabled),
         MEMPOD_CONFIG_FIELD("sim.sampling.measure_ps",
                             sampling.measurePs),

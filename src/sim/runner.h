@@ -160,9 +160,8 @@ struct RunnerOptions
      *               at any worker count.
      *   decisions/  "<same stem>.decisions.jsonl"
      *               ("mempod-decisions-v1") when the job's config
-     *               enabled the ledger; populated entirely in the
-     *               coordinator domain, so deterministic and safe to
-     *               `diff -r` across --jobs/--shards settings.
+     *               enabled the ledger; deterministic and safe to
+     *               `diff -r` across --jobs settings.
      *   perf/       "<same stem>.perf.json" when the job's config
      *               enabled the host profiler. Deliberately a sibling
      *               of stats/: perf sidecars carry wall times and are

@@ -7,18 +7,6 @@
 
 namespace mempod {
 
-TimePs
-Simulation::lookaheadPs(const SimConfig &config)
-{
-    const auto tier_min = [](const DramSpec &s) {
-        return std::min(s.timing.tCL, s.timing.tCWL) + s.timing.tBL;
-    };
-    TimePs l = tier_min(config.near);
-    if (config.geom.slowChannels > 0)
-        l = std::min(l, tier_min(config.far));
-    return l + config.extraLatencyPs;
-}
-
 double
 Simulation::benefitPerTouchNs(const SimConfig &config)
 {
@@ -40,39 +28,15 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
         MEMPOD_PANIC("dram.model=functional is not a measurement "
                      "model; use it as sim.sampling.fastfwd_model");
     }
-    if (config_.sampling.enabled && config_.shards > 0 &&
-        config_.sampling.fastfwdModel == DramModel::kFunctional) {
-        MEMPOD_PANIC(
-            "sampled simulation with the functional fast-forward "
-            "model requires the serial kernel (sim.shards=0): "
-            "functional completions run frontend and manager code "
-            "synchronously inside the channel lane");
-    }
-    if (config_.shards > 0) {
-        const std::size_t channels =
-            config_.geom.fastChannels + config_.geom.slowChannels;
-        exec_ = std::make_unique<ParallelExecutor>(
-            eq_, channels, config_.shards, lookaheadPs(config_),
-            config_.statsIntervalPs);
+    if (config_.shards != 0) {
+        MEMPOD_PANIC("SimConfig::shards=%u is not supported: the "
+                     "serial event kernel is the only kernel; run "
+                     "cells in parallel with --jobs instead",
+                     static_cast<unsigned>(config_.shards));
     }
     if (config_.tracer.enabled) {
         tracer_ = std::make_unique<Tracer>(config_.tracer);
-        if (exec_) {
-            // Sharded: records stage per domain, stamped with their
-            // event's canonical key; absorbed into the master after the
-            // run in serial emission order (byte-identical JSON).
-            exec_->enableTracing(config_.tracer);
-        } else {
-            eq_.setTracer(tracer_.get());
-        }
-    }
-    ShardPlan plan;
-    if (exec_) {
-        plan.channelQueues = exec_->channelQueues();
-        plan.dispatch = [ex = exec_.get()](std::size_t ch, Request req,
-                                           ChannelAddr where) {
-            ex->dispatch(ch, std::move(req), where);
-        };
+        eq_.setTracer(tracer_.get());
     }
     ModelPlan models;
     models.primary = config_.dramModel;
@@ -81,11 +45,7 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     mem_ = std::make_unique<MemorySystem>(eq_, config_.geom, config_.near,
                                           config_.far,
                                           config_.extraLatencyPs,
-                                          config_.controller,
-                                          exec_ ? &plan : nullptr,
-                                          models);
-    if (exec_)
-        exec_->bindChannels(*mem_);
+                                          config_.controller, models);
     placement_ = std::make_unique<LogicalToPhysical>(
         config_.geom.totalPages(), config_.numCores,
         config_.placementSeed);
@@ -120,9 +80,6 @@ Simulation::Simulation(const SimConfig &config) : config_(config)
     }
 
     registerAllMetrics();
-
-    if (exec_)
-        exec_->setPerf(perf_.get());
 }
 
 void
@@ -130,10 +87,7 @@ Simulation::registerAllMetrics()
 {
     registry_.addCounterFn("sim.events_executed",
                            "events executed by the queue",
-                           [this] {
-                               return exec_ ? exec_->totalExecuted()
-                                            : eq_.executed();
-                           });
+                           [this] { return eq_.executed(); });
     mem_->registerMetrics(registry_);
     manager_->registerMetrics(registry_);
     frontend_->registerMetrics(registry_, config_.numCores);
@@ -184,8 +138,7 @@ Simulation::run(TraceSource &source, const std::string &workload_name)
             return;
         const double wall =
             static_cast<double>(perfNowNs() - perf_->startNs()) / 1e9;
-        const std::uint64_t events =
-            exec_ ? exec_->totalExecuted() : eq_.executed();
+        const std::uint64_t events = eq_.executed();
         const std::uint64_t done_n = frontend_->completed();
         const double frac =
             trace_records ? static_cast<double>(done_n) /
@@ -224,9 +177,8 @@ Simulation::run(TraceSource &source, const std::string &workload_name)
                              manager_->pendingWork()));
         }
         // Read-only conservation checks, self-rate-limited to one pass
-        // per epoch of *simulated* time — the serial and sharded loops
-        // call at different real cadences, but a read-and-panic probe
-        // cannot perturb any output either way.
+        // per epoch of *simulated* time; a read-and-panic probe cannot
+        // perturb any output.
         if (validator_)
             validator_->periodicCheck(eq_.now());
         heartbeat();
@@ -239,24 +191,10 @@ Simulation::run(TraceSource &source, const std::string &workload_name)
             static_cast<unsigned long long>(mem_->inFlight()),
             static_cast<unsigned long long>(manager_->pendingWork()));
     };
-    if (exec_) {
-        exec_->setDrained(drained);
-        for (;;) {
-            const ParallelExecutor::Step step = exec_->runWindow();
-            if (step == ParallelExecutor::Step::kFinished)
-                break;
-            if (step == ParallelExecutor::Step::kIdle)
-                panic_deadlock();
-            check_progress();
-        }
-        if (tracer_)
-            exec_->absorbTraces(*tracer_);
-    } else {
-        while (!drained()) {
-            if (!eq_.runOne())
-                panic_deadlock();
-            check_progress();
-        }
+    while (!drained()) {
+        if (!eq_.runOne())
+            panic_deadlock();
+        check_progress();
     }
 
     if (sampler_)
@@ -380,32 +318,18 @@ Simulation::collectPerf(const RunResult &r)
         return;
     PerfMonitor &pm = *perf_;
 
-    // Timing-wheel mechanics, summed over the coordinator and (when
-    // sharded) every lane wheel. All deterministic sim-side counts.
-    const auto add_eq = [&pm](const EventQueue &q) {
-        const EventQueue::HostStats &h = q.hostStats();
-        for (unsigned l = 0; l < EventQueue::kWheels; ++l)
-            pm.counterAdd("eq.placed_level" + std::to_string(l),
-                          h.placedAtLevel[l]);
-        pm.counterAdd("eq.front_spills", h.frontSpills);
-        pm.counterAdd("eq.drain_inserts", h.drainInserts);
-        pm.counterAdd("eq.list_allocs", h.listAllocs);
-        pm.counterAdd("eq.list_reuses", h.listReuses);
-        pm.counterMax("eq.peak_pending", h.peakPending);
-        pm.counterAdd("eq.cascades", q.cascades());
-        pm.counterAdd("eq.ladder_deferred", q.ladderDeferred());
-    };
-    add_eq(eq_);
-    if (exec_) {
-        for (std::size_t i = 0; i < exec_->numLanes(); ++i)
-            add_eq(exec_->channelQueue(i));
-        const std::vector<std::uint64_t> dom = exec_->perDomainExecuted();
-        for (std::size_t d = 0; d < dom.size(); ++d)
-            pm.counterAdd("eq.domain" + std::to_string(d) + ".executed",
-                          dom[d]);
-    } else {
-        pm.counterAdd("eq.domain0.executed", eq_.executed());
-    }
+    // Timing-wheel mechanics. All deterministic sim-side counts.
+    const EventQueue::HostStats &h = eq_.hostStats();
+    for (unsigned l = 0; l < EventQueue::kWheels; ++l)
+        pm.counterAdd("eq.placed_level" + std::to_string(l),
+                      h.placedAtLevel[l]);
+    pm.counterAdd("eq.front_spills", h.frontSpills);
+    pm.counterAdd("eq.drain_inserts", h.drainInserts);
+    pm.counterAdd("eq.list_allocs", h.listAllocs);
+    pm.counterAdd("eq.list_reuses", h.listReuses);
+    pm.counterMax("eq.peak_pending", h.peakPending);
+    pm.counterAdd("eq.cascades", eq_.cascades());
+    pm.counterAdd("eq.ladder_deferred", eq_.ladderDeferred());
     // FR-FCFS arbiter density across every channel controller.
     std::uint64_t ticks = 0, arb = 0, issued = 0, work_banks = 0;
     for (std::size_t ch = 0; ch < mem_->numChannels(); ++ch) {
@@ -423,31 +347,7 @@ Simulation::collectPerf(const RunResult &r)
                           static_cast<double>(arb)
                     : 0.0);
 
-    // Executor health: shard event ledger, horizon near-miss, and the
-    // work-imbalance ratio (busiest shard / mean).
-    if (exec_) {
-        std::uint64_t max_ev = 0, sum_ev = 0;
-        for (unsigned s = 0; s < exec_->shards(); ++s) {
-            const std::uint64_t ev = exec_->perShardExecuted(s);
-            pm.shard(s).events = ev;
-            max_ev = std::max(max_ev, ev);
-            sum_ev += ev;
-        }
-        const double mean =
-            static_cast<double>(sum_ev) /
-            static_cast<double>(std::max(1u, exec_->shards()));
-        pm.gaugeSet("exec.work_imbalance",
-                    mean > 0 ? static_cast<double>(max_ev) / mean : 0.0);
-        const std::uint64_t slack = exec_->minHorizonSlackPs();
-        pm.gaugeSet("exec.horizon_min_slack_ps",
-                    slack == ~std::uint64_t{0}
-                        ? 0.0
-                        : static_cast<double>(slack));
-        pm.counterAdd("exec.sampler_syncs", exec_->samplerSyncs());
-    }
-
     perfReport_ = pm.report(r.simulatedPs, r.eventsExecuted);
-    perfReport_.windows = exec_ ? exec_->windows() : 0;
     havePerfReport_ = true;
 }
 

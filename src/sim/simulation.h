@@ -20,7 +20,6 @@
 #include "mem/memory_system.h"
 #include "sim/config.h"
 #include "sim/fidelity.h"
-#include "sim/parallel.h"
 #include "sim/report.h"
 #include "sim/validate.h"
 #include "trace/record.h"
@@ -68,17 +67,13 @@ class Simulation
     /** Event tracer, or nullptr when config.tracer.enabled is false. */
     const Tracer *tracer() const { return tracer_.get(); }
 
-    /** PDES executor, or nullptr when config.shards == 0 (serial). */
-    const ParallelExecutor *executor() const { return exec_.get(); }
-
     /** Host profiler, or nullptr when config.perfEnabled is false. */
     PerfMonitor *perf() { return perf_.get(); }
 
     /**
      * Migration decision ledger, or nullptr when
-     * config.decisionsEnabled is false. Populated entirely from
-     * coordinator-domain manager callbacks, so its contents are
-     * byte-identical at any jobs/shards setting.
+     * config.decisionsEnabled is false. Its contents are
+     * byte-identical at any --jobs setting.
      */
     const DecisionLog *decisionLog() const { return decisions_.get(); }
 
@@ -107,14 +102,6 @@ class Simulation
         return havePerfReport_ ? &perfReport_ : nullptr;
     }
 
-    /**
-     * The static lookahead a sharded run of `config` synchronizes at:
-     * the minimum channel->coordinator completion delay, min over the
-     * present tiers of (min(tCL, tCWL) + tBL) plus the interconnect
-     * latency. Exposed so tests can pin the derivation.
-     */
-    static TimePs lookaheadPs(const SimConfig &config);
-
   private:
     void registerAllMetrics();
     /** Fold every layer's host counters into perfReport_ after run(). */
@@ -124,10 +111,6 @@ class Simulation
     EventQueue eq_;
     std::unique_ptr<PerfMonitor> perf_;
     std::unique_ptr<Tracer> tracer_;
-    // Declared before mem_: the channels hold references to the
-    // executor's per-lane queues, so the executor must be destroyed
-    // after the memory system (members destroy in reverse order).
-    std::unique_ptr<ParallelExecutor> exec_;
     std::unique_ptr<MemorySystem> mem_;
     std::unique_ptr<LogicalToPhysical> placement_;
     std::unique_ptr<MemoryManager> manager_;

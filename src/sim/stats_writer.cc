@@ -430,8 +430,6 @@ StatsWriter::perfToJson(const PerfReport &r)
     appendKeyU64(out, "events_executed", r.eventsExecuted);
     out += ",\n  ";
     appendKeyDouble(out, "events_per_second", r.eventsPerSecond);
-    out += ",\n  ";
-    appendKeyU64(out, "windows", r.windows);
     out += ",\n  \"phases_ns\": {";
     bool first = true;
     for (const auto &[name, ns] : r.phasesNs) {
@@ -476,19 +474,7 @@ StatsWriter::perfToJson(const PerfReport &r)
         out += "\":";
         appendBuckets(out, buckets);
     }
-    out += "},\n  \"shards\": [";
-    for (std::size_t s = 0; s < r.shards.size(); ++s) {
-        if (s)
-            out += ',';
-        out += '{';
-        appendKeyU64(out, "busy_ns", r.shards[s].busyNs);
-        out += ',';
-        appendKeyU64(out, "stall_ns", r.shards[s].stallNs);
-        out += ',';
-        appendKeyU64(out, "events", r.shards[s].events);
-        out += '}';
-    }
-    out += "]\n}\n";
+    out += "}\n}\n";
     return out;
 }
 

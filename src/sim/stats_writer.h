@@ -56,9 +56,8 @@ class StatsWriter
      * Migration decision ledger as a "mempod-decisions-v1" JSONL
      * sidecar: a header line with run identity and ledger totals,
      * then one line per decision in the order the policy made them.
-     * The ledger is populated entirely in the coordinator domain, so
-     * these bytes are identical at any jobs/shards setting. The
-     * schema is documented in EXPERIMENTS.md.
+     * These bytes are identical at any --jobs setting. The schema is
+     * documented in EXPERIMENTS.md.
      */
     static std::string decisionsToJsonl(const DecisionLog &log,
                                         const std::string &workload,
@@ -76,10 +75,10 @@ class StatsWriter
 
     /**
      * Host-profile sidecar document ("mempod-perf-v1"): wall/RSS/rate
-     * header, phase wall times, host counters/gauges/histograms and
-     * the per-shard busy/stall ledger. Host facts only — this file is
-     * intentionally *not* deterministic, which is why it lives beside
-     * (never inside) the stats directory CI byte-compares.
+     * header, phase wall times and host counters/gauges/histograms.
+     * Host facts only — this file is intentionally *not*
+     * deterministic, which is why it lives beside (never inside) the
+     * stats directory CI byte-compares.
      */
     static std::string perfToJson(const PerfReport &r);
 

@@ -103,13 +103,12 @@ TEST(DecisionLog, SlowEvictionIsNotAPingPong)
 }
 
 SimConfig
-tinyConfig(Mechanism m, std::uint32_t shards)
+tinyConfig(Mechanism m)
 {
     SimConfig c = SimConfig::paper(m);
     c.geom = SystemGeometry::tiny();
     c.mempod.interval = 20_us;
     c.mempod.pod.meaEntries = 16;
-    c.shards = shards;
     return c;
 }
 
@@ -122,23 +121,25 @@ tinyTrace(std::uint64_t requests = 30000)
     return WorkloadCatalog::global().build("xalanc", gc);
 }
 
-TEST(DecisionLog, LedgerJsonlIsByteIdenticalAcrossShardCounts)
+TEST(DecisionLog, LedgerJsonlIsByteIdenticalAcrossRuns)
 {
+    // The ledger derives from simulated state only, so two fresh
+    // simulations of one config must export the same JSONL bytes.
     const Trace t = tinyTrace();
-    std::string serial, sharded;
-    for (std::uint32_t shards : {0u, 2u}) {
-        Simulation sim(tinyConfig(Mechanism::kMemPod, shards));
+    std::string first, second;
+    for (std::string *out : {&first, &second}) {
+        Simulation sim(tinyConfig(Mechanism::kMemPod));
         const RunResult r = sim.run(t, "xalanc");
         ASSERT_NE(sim.decisionLog(), nullptr);
         EXPECT_GT(sim.decisionLog()->size(), 0u);
         // Final invariant: every committed decision is a migration.
         EXPECT_EQ(sim.decisionLog()->committedCount(),
                   r.migration.migrations);
-        (shards ? sharded : serial) = StatsWriter::decisionsToJsonl(
-            *sim.decisionLog(), "xalanc", r.mechanism);
+        *out = StatsWriter::decisionsToJsonl(*sim.decisionLog(),
+                                             "xalanc", r.mechanism);
     }
-    EXPECT_EQ(serial, sharded);
-    EXPECT_NE(serial.find("\"schema\":\"mempod-decisions-v1\""),
+    EXPECT_EQ(first, second);
+    EXPECT_NE(first.find("\"schema\":\"mempod-decisions-v1\""),
               std::string::npos);
 }
 
@@ -147,7 +148,7 @@ TEST(DecisionLog, EveryMechanismFeedsTheSharedLedger)
     const Trace t = tinyTrace();
     for (Mechanism m : {Mechanism::kMemPod, Mechanism::kHma,
                         Mechanism::kThm, Mechanism::kCameo}) {
-        Simulation sim(tinyConfig(m, 0));
+        Simulation sim(tinyConfig(m));
         const RunResult r = sim.run(t, "xalanc");
         ASSERT_NE(sim.decisionLog(), nullptr) << mechanismName(m);
         EXPECT_EQ(sim.decisionLog()->committedCount(),
@@ -160,7 +161,7 @@ TEST(DecisionLog, EveryMechanismFeedsTheSharedLedger)
 
 TEST(DecisionLog, DisabledByConfigLeavesNoLedger)
 {
-    SimConfig c = tinyConfig(Mechanism::kMemPod, 0);
+    SimConfig c = tinyConfig(Mechanism::kMemPod);
     c.decisionsEnabled = false;
     Simulation sim(c);
     sim.run(tinyTrace(10000), "xalanc");
@@ -169,7 +170,7 @@ TEST(DecisionLog, DisabledByConfigLeavesNoLedger)
 
 TEST(DecisionLog, BenefitPerTouchMatchesSpecGap)
 {
-    const SimConfig c = tinyConfig(Mechanism::kMemPod, 0);
+    const SimConfig c = tinyConfig(Mechanism::kMemPod);
     const double gap_ps =
         static_cast<double>((c.far.timing.tRCD + c.far.timing.tCL +
                              c.far.timing.tBL) -

@@ -114,14 +114,6 @@ TEST(FidelityDeath, FunctionalMeasurementModelPanics)
     EXPECT_DEATH(Simulation sim(c), "not a measurement model");
 }
 
-TEST(FidelityDeath, FunctionalWarmModelRequiresSerialKernel)
-{
-    SimConfig c = tinyConfig(Mechanism::kMemPod);
-    c.sampling.enabled = true;
-    c.shards = 2;
-    EXPECT_DEATH(Simulation sim(c), "serial kernel");
-}
-
 TEST(FidelityDeath, TooFewWindowsPanicsAtFinish)
 {
     SimConfig c = tinyConfig(Mechanism::kMemPod);

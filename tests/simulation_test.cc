@@ -42,6 +42,15 @@ TEST(Simulation, EveryMechanismRunsToCompletion)
     }
 }
 
+TEST(SimulationDeathTest, NonzeroShardsPanics)
+{
+    // The serial kernel is the only kernel; a nonzero shard count must
+    // fail loudly instead of silently running serial.
+    SimConfig c = tinyConfig(Mechanism::kMemPod);
+    c.shards = 2;
+    EXPECT_DEATH(Simulation sim(c), "shards=2 is not supported");
+}
+
 TEST(Simulation, DeterministicAcrossRuns)
 {
     const Trace t = tinyTrace("xalanc", 20000);

@@ -137,17 +137,6 @@ TEST(Validate, EveryMechanismPassesParanoidChecks)
     }
 }
 
-TEST(Validate, ShardedRunPassesTheSameChecks)
-{
-    SimConfig c = tinyConfig(Mechanism::kMemPod, true);
-    c.shards = 2;
-    Simulation sim(c);
-    const Trace t = tinyTrace();
-    const RunResult r = sim.run(t, "mix5");
-    EXPECT_EQ(r.completed, t.size());
-    EXPECT_GT(sim.validator()->checksRun(), 1u);
-}
-
 TEST(Validate, DisabledByConfigLeavesNoChecker)
 {
     SimConfig c = tinyConfig(Mechanism::kMemPod, false);

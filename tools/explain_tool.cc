@@ -24,10 +24,10 @@
  *     committed/aborted/ping-pong decision rates of both runs and
  *     the first decision at which the two runs diverge.
  *
- * The ledger is deterministic at any --jobs/--shards, so "first
- * diverging decision" is meaningful: it is the earliest point where
- * the two configurations made different migration choices, which is
- * where causal analysis of the downstream AMMAT delta should start.
+ * The ledger is deterministic at any --jobs, so "first diverging
+ * decision" is meaningful: it is the earliest point where the two
+ * configurations made different migration choices, which is where
+ * causal analysis of the downstream AMMAT delta should start.
  */
 #include <algorithm>
 #include <cmath>
