@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "common/rng.h"
 #include "core/pod.h"
 #include "dram/channel.h"
@@ -145,10 +148,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 // End-to-end: across mechanisms and workload families, every demand
-// completes exactly once and AMMAT is finite and positive.
+// completes exactly once and AMMAT is finite and positive. The workload
+// is a std::string, not a const char *: gtest prints a pointer parameter
+// as its address, which would put the load address into the test name.
 class MechanismSweep
-    : public ::testing::TestWithParam<std::tuple<Mechanism,
-                                                 const char *>>
+    : public ::testing::TestWithParam<std::tuple<Mechanism, std::string>>
 {
 };
 
