@@ -7,41 +7,38 @@
  */
 #include "sim/config.h"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
+#include "sim/stats_writer.h"
 
 namespace mempod {
 
 namespace {
 
-/** Parse a non-negative integer, rejecting trailing junk/overflow. */
+/** Parse a non-negative integer exactly, rejecting junk and overflow. */
 template <typename T>
 void
 parseValue(T &dst, const std::string &v, const char *key)
 {
     static_assert(std::is_unsigned_v<T>);
-    if (v.empty() ||
-        v.find_first_not_of("0123456789") != std::string::npos) {
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, dst);
+    if (ptr != end || ec == std::errc::invalid_argument) {
         MEMPOD_PANIC("config key '%s': '%s' is not a non-negative "
                      "integer",
                      key, v.c_str());
     }
-    errno = 0;
-    const unsigned long long raw = std::strtoull(v.c_str(), nullptr, 10);
-    if (errno != 0 || raw > std::numeric_limits<T>::max()) {
+    if (ec == std::errc::result_out_of_range) {
         MEMPOD_PANIC("config key '%s': value %s out of range", key,
                      v.c_str());
     }
-    dst = static_cast<T>(raw);
 }
 
 void
@@ -85,13 +82,7 @@ parseValue(DramModel &dst, const std::string &v, const char *key)
 std::string
 quoted(const std::string &s)
 {
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out + "\"";
+    return "\"" + StatsWriter::jsonEscape(s) + "\"";
 }
 
 std::string
@@ -295,138 +286,38 @@ splitKey(const std::string &key)
 }
 
 /**
- * Minimal JSON reader for the subset toJson() emits: objects whose
- * leaves are unsigned integers, booleans or strings. Produces the
- * flattened (dotted key, raw value) list in document order.
+ * Apply every leaf under `obj` through set() with its dotted key, in
+ * document order, so fromJson() reports bad values with set()'s own
+ * messages. Numbers pass their literal text, never a double.
  */
-class JsonFlattener
+void
+applyObject(SimConfig &cfg, const json::Value &obj,
+            const std::string &prefix)
 {
-  public:
-    explicit JsonFlattener(const std::string &text) : text_(text) {}
-
-    std::vector<std::pair<std::string, std::string>>
-    flatten()
-    {
-        std::vector<std::pair<std::string, std::string>> out;
-        skipWs();
-        parseObject("", out);
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after top-level object");
-        return out;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const char *what)
-    {
-        MEMPOD_PANIC("SimConfig::fromJson: %s (at byte %zu)", what,
-                     pos_);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail("unexpected character");
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string s;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return s;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("unterminated escape");
-                const char e = text_[pos_++];
-                if (e != '"' && e != '\\')
-                    fail("unsupported escape sequence");
-                s += e;
-            } else {
-                s += c;
-            }
+    for (const auto &[key, v] : obj.members()) {
+        if (key.empty() || key.find('.') != std::string::npos) {
+            MEMPOD_PANIC("SimConfig::fromJson: invalid object key '%s' "
+                         "(at byte %zu)",
+                         key.c_str(), v.offset());
+        }
+        const std::string dotted =
+            prefix.empty() ? key : prefix + "." + key;
+        if (v.is(json::Value::Kind::kObject)) {
+            applyObject(cfg, v, dotted);
+        } else if (v.is(json::Value::Kind::kBool)) {
+            cfg.set(dotted, v.asBool() ? "true" : "false");
+        } else if (v.is(json::Value::Kind::kString) ||
+                   v.is(json::Value::Kind::kNumber)) {
+            cfg.set(dotted, v.text());
+        } else {
+            MEMPOD_PANIC("SimConfig::fromJson: key '%s' is %s; config "
+                         "values are objects, strings, numbers or "
+                         "booleans (at byte %zu)",
+                         dotted.c_str(), json::kindName(v.kind()),
+                         v.offset());
         }
     }
-
-    std::string
-    parseScalar()
-    {
-        if (peek() == '"')
-            return parseString();
-        std::string s;
-        while (pos_ < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[pos_]))))
-            s += text_[pos_++];
-        if (s.empty())
-            fail("expected a value");
-        return s;
-    }
-
-    void
-    parseObject(const std::string &prefix,
-                std::vector<std::pair<std::string, std::string>> &out)
-    {
-        expect('{');
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return;
-        }
-        while (true) {
-            skipWs();
-            const std::string key = parseString();
-            if (key.empty() || key.find('.') != std::string::npos)
-                fail("invalid object key");
-            skipWs();
-            expect(':');
-            skipWs();
-            const std::string dotted =
-                prefix.empty() ? key : prefix + "." + key;
-            if (peek() == '{')
-                parseObject(dotted, out);
-            else
-                out.emplace_back(dotted, parseScalar());
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return;
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-namespace {
+}
 
 /** Order-preserving JSON tree assembled from the dotted field keys. */
 struct JsonNode
@@ -496,11 +387,20 @@ SimConfig::set(const std::string &key, const std::string &value)
 }
 
 SimConfig
-SimConfig::fromJson(const std::string &json)
+SimConfig::fromJson(const std::string &text)
 {
+    const json::Parsed doc = json::parse(text);
+    if (doc.error) {
+        MEMPOD_PANIC("SimConfig::fromJson: %s (at byte %zu)",
+                     doc.error->what.c_str(), doc.error->offset);
+    }
+    if (!doc.value.is(json::Value::Kind::kObject)) {
+        MEMPOD_PANIC("SimConfig::fromJson: top level must be an object "
+                     "(at byte %zu)",
+                     doc.value.offset());
+    }
     SimConfig cfg;
-    for (const auto &[key, value] : JsonFlattener(json).flatten())
-        cfg.set(key, value);
+    applyObject(cfg, doc.value, "");
     return cfg;
 }
 

@@ -1,259 +1,18 @@
 #include "trace/manifest.h"
 
-#include <cctype>
-#include <cstdio>
-#include <map>
-#include <memory>
+#include <cmath>
+#include <fstream>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace mempod {
 
 namespace {
-
-/**
- * A minimal string-preserving JSON value tree. The repo's flat_json
- * helper deliberately drops strings (it flattens numeric stats files);
- * the manifest is mostly strings, so it gets its own tiny parser.
- */
-struct JsonValue
-{
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        for (const auto &[k, v] : members)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    JsonParser(const std::string &text, const std::string &path)
-        : text_(text), path_(path)
-    {
-    }
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after the JSON document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        std::size_t line = 1;
-        for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i)
-            if (text_[i] == '\n')
-                ++line;
-        MEMPOD_FATAL("'%s' line %zu: %s", path_.c_str(), line,
-                     what.c_str());
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of file");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"')
-            return parseString();
-        if (c == 't' || c == 'f')
-            return parseBool();
-        if (c == 'n')
-            return parseNull();
-        return parseNumber();
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::kObject;
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            JsonValue key = parseString();
-            expect(':');
-            v.members.emplace_back(key.text, parseValue());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::kArray;
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.items.push_back(parseValue());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    JsonValue
-    parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("unterminated string escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case '/': c = '/'; break;
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  default:
-                    fail(std::string("unsupported string escape '\\") +
-                         e + "'");
-                }
-            }
-            v.text.push_back(c);
-        }
-        if (pos_ >= text_.size())
-            fail("unterminated string");
-        ++pos_; // closing quote
-        return v;
-    }
-
-    JsonValue
-    parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        if (text_.compare(pos_, 4, "true") == 0) {
-            v.boolean = true;
-            pos_ += 4;
-        } else if (text_.compare(pos_, 5, "false") == 0) {
-            v.boolean = false;
-            pos_ += 5;
-        } else {
-            fail("malformed literal");
-        }
-        return v;
-    }
-
-    JsonValue
-    parseNull()
-    {
-        if (text_.compare(pos_, 4, "null") != 0)
-            fail("malformed literal");
-        pos_ += 4;
-        return JsonValue{};
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a value");
-        JsonValue v;
-        v.kind = JsonValue::Kind::kNumber;
-        try {
-            v.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (...) {
-            fail("malformed number '" +
-                 text_.substr(start, pos_ - start) + "'");
-        }
-        return v;
-    }
-
-    const std::string &text_;
-    std::string path_;
-    std::size_t pos_ = 0;
-};
-
-std::string
-readFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        MEMPOD_FATAL("cannot open trace manifest '%s'", path.c_str());
-    std::string out;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
-}
 
 std::string
 dirnameOf(const std::string &path)
@@ -271,45 +30,46 @@ resolvePath(const std::string &base, const std::string &path)
     return base + "/" + path;
 }
 
+using Kind = json::Value::Kind;
+
 /** Require a specific kind, with the manifest path in the error. */
-const JsonValue &
-require(const JsonValue *v, JsonValue::Kind kind, const char *what,
+const json::Value &
+require(const json::Value *v, Kind kind, const char *what,
         const std::string &manifest)
 {
-    static const char *names[] = {"null",   "bool",  "number",
-                                  "string", "array", "object"};
     if (v == nullptr) {
         MEMPOD_FATAL("trace manifest '%s': missing required key %s",
                      manifest.c_str(), what);
     }
-    if (v->kind != kind) {
+    if (!v->is(kind)) {
         MEMPOD_FATAL("trace manifest '%s': %s must be a %s (got %s)",
-                     manifest.c_str(), what,
-                     names[static_cast<int>(kind)],
-                     names[static_cast<int>(v->kind)]);
+                     manifest.c_str(), what, json::kindName(kind),
+                     json::kindName(v->kind()));
     }
     return *v;
 }
 
+/** A required number read exactly from its literal, never a double. */
 std::uint64_t
-asU64(const JsonValue &v, const char *what, const std::string &manifest)
+requireU64(const json::Value *v, const char *what,
+           const std::string &manifest)
 {
-    if (v.number < 0 || v.number != static_cast<double>(
-                                        static_cast<std::uint64_t>(
-                                            v.number))) {
+    const std::optional<std::uint64_t> n =
+        require(v, Kind::kNumber, what, manifest).asU64();
+    if (!n) {
         MEMPOD_FATAL("trace manifest '%s': %s must be a non-negative "
-                     "integer",
-                     manifest.c_str(), what);
+                     "integer (got %s)",
+                     manifest.c_str(), what, v->text().c_str());
     }
-    return static_cast<std::uint64_t>(v.number);
+    return *n;
 }
 
 void
-rejectUnknownKeys(const JsonValue &obj,
+rejectUnknownKeys(const json::Value &obj,
                   const std::set<std::string> &known,
                   const char *where, const std::string &manifest)
 {
-    for (const auto &[k, v] : obj.members) {
+    for (const auto &[k, v] : obj.members()) {
         (void)v;
         if (known.count(k) == 0) {
             MEMPOD_FATAL("trace manifest '%s': unknown key \"%s\" in "
@@ -325,29 +85,35 @@ rejectUnknownKeys(const JsonValue &obj,
 std::vector<ExternalTraceSpec>
 loadTraceManifest(const std::string &path)
 {
-    const std::string text = readFile(path);
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        MEMPOD_FATAL("cannot open trace manifest '%s'", path.c_str());
+    std::ostringstream text;
+    text << in.rdbuf();
     const std::string base = dirnameOf(path);
-    JsonValue root = JsonParser(text, path).parse();
-    if (root.kind != JsonValue::Kind::kObject)
+    const json::Parsed doc = json::parse(text.str());
+    if (doc.error) {
+        MEMPOD_FATAL("'%s' line %zu: %s (at byte %zu)", path.c_str(),
+                     doc.error->line, doc.error->what.c_str(),
+                     doc.error->offset);
+    }
+    const json::Value &root = doc.value;
+    if (!root.is(Kind::kObject))
         MEMPOD_FATAL("trace manifest '%s': top level must be an object",
                      path.c_str());
     rejectUnknownKeys(root, {"version", "traces"}, "the manifest", path);
-    const JsonValue &version = require(
-        root.find("version"), JsonValue::Kind::kNumber, "\"version\"",
-        path);
-    if (asU64(version, "\"version\"", path) != 1) {
-        MEMPOD_FATAL("trace manifest '%s': version %.0f, but this "
-                     "build reads version 1",
-                     path.c_str(), version.number);
+    if (requireU64(root.find("version"), "\"version\"", path) != 1) {
+        MEMPOD_FATAL("trace manifest '%s': version %s, but this build "
+                     "reads version 1",
+                     path.c_str(), root.find("version")->text().c_str());
     }
-    const JsonValue &traces = require(
-        root.find("traces"), JsonValue::Kind::kArray, "\"traces\"",
-        path);
+    const json::Value &traces =
+        require(root.find("traces"), Kind::kArray, "\"traces\"", path);
 
     std::vector<ExternalTraceSpec> out;
     std::set<std::string> names;
-    for (const JsonValue &entry : traces.items) {
-        if (entry.kind != JsonValue::Kind::kObject) {
+    for (const json::Value &entry : traces.items()) {
+        if (!entry.is(Kind::kObject)) {
             MEMPOD_FATAL("trace manifest '%s': each \"traces\" entry "
                          "must be an object",
                          path.c_str());
@@ -357,13 +123,12 @@ loadTraceManifest(const std::string &path)
                            "period_ps", "addr_bias", "time_scale"},
                           "a trace entry", path);
         ExternalTraceSpec spec;
-        spec.name = require(entry.find("name"),
-                            JsonValue::Kind::kString, "\"name\"", path)
-                        .text;
-        spec.format = require(entry.find("format"),
-                              JsonValue::Kind::kString, "\"format\"",
-                              path)
-                          .text;
+        spec.name =
+            require(entry.find("name"), Kind::kString, "\"name\"", path)
+                .text();
+        spec.format = require(entry.find("format"), Kind::kString,
+                              "\"format\"", path)
+                          .text();
         if (spec.format != "native" && spec.format != "champsim" &&
             spec.format != "sift") {
             MEMPOD_FATAL("trace manifest '%s': trace \"%s\" has format "
@@ -378,17 +143,17 @@ loadTraceManifest(const std::string &path)
                          path.c_str(), spec.name.c_str());
         }
 
-        const JsonValue *file = entry.find("file");
-        const JsonValue *files = entry.find("files");
+        const json::Value *file = entry.find("file");
+        const json::Value *files = entry.find("files");
         if (spec.format == "native") {
-            const JsonValue &f = require(file, JsonValue::Kind::kString,
-                                         "\"file\"", path);
+            const json::Value &f =
+                require(file, Kind::kString, "\"file\"", path);
             if (files != nullptr) {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" is "
                              "native; use \"file\", not \"files\"",
                              path.c_str(), spec.name.c_str());
             }
-            spec.files.push_back({resolvePath(base, f.text), 0});
+            spec.files.push_back({resolvePath(base, f.text()), 0});
         } else {
             if (file != nullptr) {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" is "
@@ -397,16 +162,16 @@ loadTraceManifest(const std::string &path)
                              path.c_str(), spec.name.c_str(),
                              spec.format.c_str());
             }
-            const JsonValue &fs = require(
-                files, JsonValue::Kind::kArray, "\"files\"", path);
-            if (fs.items.empty()) {
+            const json::Value &fs = require(
+                files, Kind::kArray, "\"files\"", path);
+            if (fs.items().empty()) {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" has an "
                              "empty \"files\" list",
                              path.c_str(), spec.name.c_str());
             }
             std::set<std::uint64_t> cores;
-            for (const JsonValue &fe : fs.items) {
-                if (fe.kind != JsonValue::Kind::kObject) {
+            for (const json::Value &fe : fs.items()) {
+                if (!fe.is(Kind::kObject)) {
                     MEMPOD_FATAL("trace manifest '%s': \"files\" "
                                  "entries must be objects with "
                                  "\"path\" and \"core\"",
@@ -416,15 +181,11 @@ loadTraceManifest(const std::string &path)
                                   "a \"files\" entry", path);
                 ManifestFile mf;
                 mf.path = resolvePath(
-                    base, require(fe.find("path"),
-                                  JsonValue::Kind::kString, "\"path\"",
-                                  path)
-                              .text);
+                    base, require(fe.find("path"), Kind::kString,
+                                  "\"path\"", path)
+                              .text());
                 const std::uint64_t core =
-                    asU64(require(fe.find("core"),
-                                  JsonValue::Kind::kNumber, "\"core\"",
-                                  path),
-                          "\"core\"", path);
+                    requireU64(fe.find("core"), "\"core\"", path);
                 if (core > 255 || !cores.insert(core).second) {
                     MEMPOD_FATAL("trace manifest '%s': trace \"%s\" "
                                  "core %llu is out of range or "
@@ -437,17 +198,17 @@ loadTraceManifest(const std::string &path)
             }
         }
 
-        if (const JsonValue *t = entry.find("timing")) {
-            if (spec.format != "champsim") {
-                MEMPOD_FATAL("trace manifest '%s': \"timing\" only "
-                             "applies to champsim traces (trace "
-                             "\"%s\" is %s)",
-                             path.c_str(), spec.name.c_str(),
+        for (const char *key : {"timing", "addr_bias"}) {
+            if (entry.find(key) != nullptr && spec.format != "champsim") {
+                MEMPOD_FATAL("trace manifest '%s': \"%s\" only applies "
+                             "to champsim traces (trace \"%s\" is %s)",
+                             path.c_str(), key, spec.name.c_str(),
                              spec.format.c_str());
             }
-            spec.timing = require(t, JsonValue::Kind::kString,
-                                  "\"timing\"", path)
-                              .text;
+        }
+        if (const json::Value *t = entry.find("timing")) {
+            spec.timing =
+                require(t, Kind::kString, "\"timing\"", path).text();
             if (spec.timing != "period" && spec.timing != "ip") {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" timing "
                              "\"%s\"; supported timings are period, "
@@ -456,30 +217,17 @@ loadTraceManifest(const std::string &path)
                              spec.timing.c_str());
             }
         }
-        if (const JsonValue *p = entry.find("period_ps")) {
-            spec.periodPs = asU64(require(p, JsonValue::Kind::kNumber,
-                                          "\"period_ps\"", path),
-                                  "\"period_ps\"", path);
-        }
-        if (const JsonValue *b = entry.find("addr_bias")) {
-            if (spec.format != "champsim") {
-                MEMPOD_FATAL("trace manifest '%s': \"addr_bias\" only "
-                             "applies to champsim traces (trace "
-                             "\"%s\" is %s)",
-                             path.c_str(), spec.name.c_str(),
-                             spec.format.c_str());
-            }
-            spec.addrBias = asU64(require(b, JsonValue::Kind::kNumber,
-                                          "\"addr_bias\"", path),
-                                  "\"addr_bias\"", path);
-        }
-        if (const JsonValue *s = entry.find("time_scale")) {
-            spec.timeScale = require(s, JsonValue::Kind::kNumber,
-                                     "\"time_scale\"", path)
-                                 .number;
-            if (!(spec.timeScale > 0)) {
+        if (const json::Value *p = entry.find("period_ps"))
+            spec.periodPs = requireU64(p, "\"period_ps\"", path);
+        if (const json::Value *b = entry.find("addr_bias"))
+            spec.addrBias = requireU64(b, "\"addr_bias\"", path);
+        if (const json::Value *s = entry.find("time_scale")) {
+            spec.timeScale =
+                require(s, Kind::kNumber, "\"time_scale\"", path)
+                    .asDouble();
+            if (!(spec.timeScale > 0) || !std::isfinite(spec.timeScale)) {
                 MEMPOD_FATAL("trace manifest '%s': trace \"%s\" "
-                             "time_scale must be > 0",
+                             "time_scale must be finite and > 0",
                              path.c_str(), spec.name.c_str());
             }
         }

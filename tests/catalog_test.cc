@@ -13,6 +13,7 @@
 #include <string>
 
 #include "trace/catalog.h"
+#include "trace/manifest.h"
 #include "trace/native.h"
 #include "trace/profiles.h"
 
@@ -246,6 +247,108 @@ TEST_F(CatalogManifest, UnknownManifestKeyIsFatal)
     m.close();
     WorkloadCatalog cat;
     EXPECT_DEATH(cat.loadManifest(bad), "frobnicate");
+}
+
+/** Write `text` as `name` under the fixture dir; returns its path. */
+std::string
+writeManifest(const std::string &dir, const std::string &name,
+              const std::string &text)
+{
+    const std::string path = dir + "/" + name;
+    std::ofstream(path) << text;
+    return path;
+}
+
+/** A one-trace champsim manifest with `field` spliced into the entry. */
+std::string
+champsimManifest(const std::string &field)
+{
+    return "{\"version\": 1, \"traces\": [{\"name\": \"c\", "
+           "\"format\": \"champsim\", \"files\": [{\"path\": "
+           "\"c.core0.champsim\", \"core\": 0}], " +
+           field + "}]}\n";
+}
+
+TEST_F(CatalogManifest, ManifestIntegersLoadExactly)
+{
+    // 2^53 + 1 has no double; 2^64 - 1 is the largest u64.
+    for (const auto &[literal, value] :
+         {std::pair<const char *, std::uint64_t>{"9007199254740993",
+                                                 9007199254740993ull},
+          {"18446744073709551615", 18446744073709551615ull}}) {
+        const auto specs = loadTraceManifest(writeManifest(
+            dir_, "exact.json",
+            champsimManifest(std::string("\"addr_bias\": ") + literal +
+                             ", \"period_ps\": " + literal)));
+        ASSERT_EQ(specs.size(), 1u);
+        EXPECT_EQ(specs[0].addrBias, value) << literal;
+        EXPECT_EQ(specs[0].periodPs, value) << literal;
+    }
+}
+
+TEST_F(CatalogManifest, InexactManifestIntegersAreFatal)
+{
+    for (const char *literal :
+         {"18446744073709551616", "1e30", "-1", "1.5"}) {
+        const std::string path = writeManifest(
+            dir_, "inexact.json",
+            champsimManifest(std::string("\"addr_bias\": ") + literal));
+        EXPECT_DEATH(loadTraceManifest(path),
+                     "\"addr_bias\" must be a non-negative integer")
+            << literal;
+    }
+    const std::string core = writeManifest(
+        dir_, "core.json",
+        "{\"version\": 1, \"traces\": [{\"name\": \"c\", \"format\": "
+        "\"sift\", \"files\": [{\"path\": \"c.sift\", \"core\": "
+        "1.0}]}]}\n");
+    EXPECT_DEATH(loadTraceManifest(core),
+                 "\"core\" must be a non-negative integer");
+    const std::string version =
+        writeManifest(dir_, "version.json",
+                      "{\"version\": 1e0, \"traces\": []}\n");
+    EXPECT_DEATH(loadTraceManifest(version),
+                 "\"version\" must be a non-negative integer");
+}
+
+TEST_F(CatalogManifest, MalformedManifestNumbersAreFatal)
+{
+    const std::string prefix = "{\"version\": 1, \"traces\": [";
+    // Each number is rejected at its first bad byte, on line 2.
+    for (const auto &[entry, byte] :
+         {std::pair<std::string, std::size_t>{
+              "{\"name\": \"c\", \"format\": \"sift\", \"files\": "
+              "[{\"path\": \"c.sift\", \"core\": 1-2}]}",
+              97},
+          {"{\"name\": \"n\", \"format\": \"native\", \"file\": "
+           "\"n.trc\", \"time_scale\": 2e}",
+           94},
+          {"{\"name\": \"n\", \"format\": \"native\", \"file\": "
+           "\"n.trc\", \"time_scale\": 1.5.5}",
+           95}}) {
+        const std::string path = writeManifest(
+            dir_, "malformed.json", prefix + "\n" + entry + "]}\n");
+        EXPECT_DEATH(loadTraceManifest(path),
+                     "malformed.json' line 2: invalid number.*\\(at byte " +
+                         std::to_string(byte) + "\\)")
+            << entry;
+    }
+}
+
+TEST_F(CatalogManifest, DuplicateManifestKeyIsFatal)
+{
+    const std::string path = writeManifest(
+        dir_, "dup.json",
+        "{\"version\": 1, \"traces\": [{\"name\": \"x\", \"format\": "
+        "\"native\", \"file\": \"a.trc\", \"file\": \"b.trc\"}]}\n");
+    EXPECT_DEATH(loadTraceManifest(path), "duplicate key \"file\"");
+}
+
+TEST_F(CatalogManifest, DeeplyNestedManifestIsFatal)
+{
+    const std::string path =
+        writeManifest(dir_, "deep.json", std::string(300000, '['));
+    EXPECT_DEATH(loadTraceManifest(path), "nesting deeper than");
 }
 
 } // namespace

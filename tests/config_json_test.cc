@@ -1,12 +1,25 @@
 /** @file Unit tests for SimConfig JSON round-trip and overrides. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "sim/config.h"
 
 namespace mempod {
 namespace {
+
+/** FNV-1a 64 of `s`: a compact pin for a document's exact bytes. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
 
 TEST(ConfigJson, RoundTripIsIdentity)
 {
@@ -23,10 +36,23 @@ TEST(ConfigJson, RoundTripIsIdentity)
 
 TEST(ConfigJson, RoundTripPreservesEveryPreset)
 {
-    for (const SimConfig &c :
-         {SimConfig::paper(Mechanism::kHma),
-          SimConfig::future(Mechanism::kThm), SimConfig::fastOnly(),
-          SimConfig::slowOnly(true)}) {
+    // Size and FNV-1a of each preset's toJson() bytes, pinned when the
+    // config writer switched to StatsWriter::jsonEscape: the presets'
+    // serialized form must not move.
+    const struct
+    {
+        SimConfig config;
+        std::size_t size;
+        std::uint64_t hash;
+    } presets[] = {
+        {SimConfig::paper(Mechanism::kHma), 2705, 0x53b5e2be4700b26eull},
+        {SimConfig::future(Mechanism::kThm), 2697, 0x21641b0bcb35428dull},
+        {SimConfig::fastOnly(), 2704, 0x9f586b4d77e58fa5ull},
+        {SimConfig::slowOnly(true), 2708, 0xfd810abfee5a70edull},
+    };
+    for (const auto &[c, size, hash] : presets) {
+        EXPECT_EQ(c.toJson().size(), size) << c.toJson();
+        EXPECT_EQ(fnv1a(c.toJson()), hash) << c.toJson();
         const SimConfig back = SimConfig::fromJson(c.toJson());
         EXPECT_EQ(back.toJson(), c.toJson());
         EXPECT_EQ(back.mechanism, c.mechanism);
@@ -96,6 +122,27 @@ TEST(ConfigJson, DramKeysRoundTripThroughJson)
     EXPECT_NE(c.toJson().find("\"tRCD_ps\""), std::string::npos);
 }
 
+TEST(ConfigJson, DramNameWithControlCharactersRoundTrips)
+{
+    SimConfig c;
+    c.near.name = "HBM\tv2 \"q\" \\ \n\x01";
+    const std::string json = c.toJson();
+    EXPECT_NE(json.find(R"("HBM\tv2 \"q\" \\ \n\u0001")"),
+              std::string::npos)
+        << json;
+    const SimConfig back = SimConfig::fromJson(json);
+    EXPECT_EQ(back.near.name, c.near.name);
+    EXPECT_EQ(back.toJson(), json);
+}
+
+TEST(ConfigJson, NumbersReachSetAsTheirLiteralText)
+{
+    const SimConfig c = SimConfig::fromJson(
+        R"({"placementSeed": 18446744073709551615, "numCores": "4"})");
+    EXPECT_EQ(c.placementSeed, 18446744073709551615ull);
+    EXPECT_EQ(c.numCores, 4u);
+}
+
 TEST(ConfigJsonDeathTest, UnknownKeyPanics)
 {
     SimConfig c;
@@ -123,6 +170,40 @@ TEST(ConfigJsonDeathTest, MalformedJsonPanics)
                  "fromJson");
     EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": 1} x)"),
                  "trailing");
+}
+
+TEST(ConfigJsonDeathTest, StrictTokensPanicWithByteOffset)
+{
+    EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": 1-2})"),
+                 "fromJson: invalid number \\(at byte 14\\)");
+    EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": 01})"),
+                 "fromJson: invalid number \\(at byte 14\\)");
+    EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": 4,})"),
+                 "trailing comma .*\\(at byte 15\\)");
+    EXPECT_DEATH((void)SimConfig::fromJson("[]"),
+                 "top level must be an object");
+    EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": null})"),
+                 "'numCores' is null.*\\(at byte 13\\)");
+    EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": -1})"),
+                 "not a non-negative integer");
+    EXPECT_DEATH((void)SimConfig::fromJson(R"({"numCores": 1.5})"),
+                 "not a non-negative integer");
+}
+
+TEST(ConfigJsonDeathTest, DuplicateKeyPanics)
+{
+    EXPECT_DEATH((void)SimConfig::fromJson(
+                     R"({"numCores": 4, "numCores": 8})"),
+                 "duplicate key \"numCores\" \\(at byte 16\\)");
+}
+
+TEST(ConfigJsonDeathTest, DeeplyNestedJsonPanics)
+{
+    std::string deep;
+    for (int i = 0; i < 300000; ++i)
+        deep += "{\"a\":";
+    EXPECT_DEATH((void)SimConfig::fromJson(deep),
+                 "fromJson: nesting deeper than");
 }
 
 } // namespace

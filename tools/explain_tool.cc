@@ -39,18 +39,13 @@
 #include <string>
 #include <vector>
 
-#include "flat_json.h"
+#include "flat_doc.h"
 
 namespace {
 
 using mempod::tools::FlatDoc;
-using mempod::tools::FlatParser;
-
-FlatDoc
-loadStats(const char *path)
-{
-    return mempod::tools::loadFlat("explain_tool", path);
-}
+using mempod::tools::loadFlat;
+using mempod::tools::num;
 
 /** Fetch a required key; exits(2) naming it when absent. */
 double
@@ -72,17 +67,6 @@ get(const FlatDoc &doc, const std::string &key, double fallback = 0.0)
 {
     const auto it = doc.find(key);
     return it == doc.end() ? fallback : it->second;
-}
-
-std::string
-num(double v)
-{
-    char buf[64];
-    if (std::fabs(v) < 1e15 && v == std::floor(v))
-        std::snprintf(buf, sizeof buf, "%.0f", v);
-    else
-        std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
 }
 
 /** Whole file as newline-split lines (without the trailing '\n'). */
@@ -114,9 +98,11 @@ parseLedgerHeader(const char *path, const std::vector<std::string> &lines)
         std::fprintf(stderr, "explain_tool: '%s' is empty\n", path);
         std::exit(2);
     }
+    const mempod::json::Parsed header = mempod::json::parse(lines[0]);
     FlatDoc doc;
-    FlatParser p(lines[0], doc);
-    if (!p.parse() || doc.find("decisions") == doc.end()) {
+    if (!header.error)
+        mempod::tools::flatten(header.value, "", doc);
+    if (doc.find("decisions") == doc.end()) {
         std::fprintf(stderr,
                      "explain_tool: '%s' does not start with a "
                      "mempod-decisions-v1 header line\n",
@@ -173,8 +159,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const FlatDoc base = loadStats(base_stats);
-    const FlatDoc cur = loadStats(cur_stats);
+    const FlatDoc base = loadFlat("explain_tool", base_stats);
+    const FlatDoc cur = loadFlat("explain_tool", cur_stats);
 
     const double base_ammat = need(base, base_stats, "summary.ammat_ns");
     const double cur_ammat = need(cur, cur_stats, "summary.ammat_ns");

@@ -34,10 +34,10 @@
  *       cannot silently pass on schema drift; --warn-only does not
  *       soften it.
  *
- * The JSON reader lives in flat_json.h, shared with explain_tool.
+ * Sidecars are parsed with json::parse and viewed through the
+ * dotted-path FlatDoc in flat_doc.h, shared with explain_tool.
  */
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,30 +45,13 @@
 #include <string>
 #include <vector>
 
-#include "flat_json.h"
+#include "flat_doc.h"
 
 namespace {
 
 using mempod::tools::FlatDoc;
-
-/** Load and flatten one sidecar; exits(2) with context on failure. */
-FlatDoc
-loadFlat(const char *path)
-{
-    return mempod::tools::loadFlat("perf_tool", path);
-}
-
-/** Compact numeric rendering: integers plain, else 6 significant. */
-std::string
-num(double v)
-{
-    char buf[64];
-    if (std::fabs(v) < 1e15 && v == std::floor(v))
-        std::snprintf(buf, sizeof buf, "%.0f", v);
-    else
-        std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
-}
+using mempod::tools::loadFlat;
+using mempod::tools::num;
 
 int
 cmdSummary(int argc, char **argv)
@@ -81,7 +64,7 @@ cmdSummary(int argc, char **argv)
     std::vector<FlatDoc> docs;
     std::map<std::string, bool> keys;
     for (int i = 2; i < argc; ++i) {
-        docs.push_back(loadFlat(argv[i]));
+        docs.push_back(loadFlat("perf_tool", argv[i]));
         for (const auto &[k, v] : docs.back())
             keys[k] = true;
     }
@@ -106,10 +89,6 @@ cmdSummary(int argc, char **argv)
     return 0;
 }
 
-/**
- * Regression direction for a tracked metric: +1 when higher is worse
- * (wall time), -1 when lower is worse (throughput), 0 = not tracked.
- */
 /** Leaf name of a flattened key: last dotted component, minus any
  *  [i] suffix. */
 std::string
@@ -126,6 +105,10 @@ leafName(const std::string &key)
                       end - (dot == std::string::npos ? 0 : dot + 1));
 }
 
+/**
+ * Regression direction for a tracked metric: +1 when higher is worse
+ * (wall time), -1 when lower is worse (throughput), 0 = not tracked.
+ */
 int
 trackedDirection(const std::string &key)
 {
@@ -182,8 +165,8 @@ cmdDiff(int argc, char **argv)
                      "[--require-speedup N]\n");
         return 2;
     }
-    const FlatDoc base = loadFlat(files[0]);
-    const FlatDoc cur = loadFlat(files[1]);
+    const FlatDoc base = loadFlat("perf_tool", files[0]);
+    const FlatDoc cur = loadFlat("perf_tool", files[1]);
 
     // Union of tracked keys from both files: a metric present in only
     // one baseline (schema drift as harnesses grow) is reported, not

@@ -30,10 +30,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/footprint.h"
+#include "common/json.h"
 #include "trace/catalog.h"
 #include "trace/champsim.h"
 #include "trace/native.h"
@@ -245,35 +247,6 @@ cmdInfo(int argc, char **argv)
     return 0;
 }
 
-/**
- * Extract the string value of `"key":"..."` from one trace-event line;
- * returns "" when absent. The tracer writes one event per line with
- * unescaped identifier-like values, so plain substring search is an
- * exact parse for its own output.
- */
-std::string
-jsonField(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const std::size_t start = at + needle.size();
-    const std::size_t end = line.find('"', start);
-    return end == std::string::npos ? "" : line.substr(start, end - start);
-}
-
-/** Extract a numeric field `"key":123[.456]`; -1 when absent. */
-double
-jsonNumber(const std::string &line, const char *key)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return -1.0;
-    return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
 int
 cmdSummary(int argc, char **argv)
 {
@@ -311,23 +284,47 @@ cmdSummary(int argc, char **argv)
     std::uint64_t events = 0, unmatched = 0;
     std::map<std::string, std::uint64_t> instants;
 
+    // Tracer::toJson writes one event object per line, each but the
+    // last followed by ','. Parsing a line at a time keeps memory flat
+    // on big traces; the "traceEvents" opener and closer are skipped.
     std::string line;
-    while (std::getline(in, line)) {
-        const std::string ph = jsonField(line, "ph");
+    std::size_t line_at = 0; // file offset of `line`
+    for (; std::getline(in, line); line_at += line.size() + 1) {
+        std::string_view text = line;
+        if (!text.empty() && text.back() == ',')
+            text.remove_suffix(1);
+        if (text.empty() || text.front() != '{' || text.back() != '}')
+            continue;
+        const json::Parsed ev = json::parse(text);
+        if (ev.error) {
+            std::fprintf(stderr,
+                         "trace_tool: '%s' is not valid JSON (error near "
+                         "byte %zu: %s)\n",
+                         pos[0], line_at + ev.error->offset,
+                         ev.error->what.c_str());
+            return 2;
+        }
+        // A string member of the event; "" when absent.
+        auto field = [&ev](const char *key) {
+            const json::Value *v = ev.value.find(key);
+            return v && v->is(json::Value::Kind::kString) ? v->text() : "";
+        };
+        const std::string ph = field("ph");
         if (ph.empty() || ph == "M")
             continue;
         ++events;
-        const std::string name = jsonField(line, "name");
+        const std::string name = field("name");
         ++counts[ph + " " + name];
         if (ph == "i")
             ++instants[name];
         if (ph != "b" && ph != "e")
             continue;
-        const std::string key = jsonField(line, "cat") + "/" +
-                                jsonField(line, "id") + "/" + name;
-        const double ts = jsonNumber(line, "ts");
+        const std::string id = field("id");
+        const std::string key = field("cat") + "/" + id + "/" + name;
+        const json::Value *ts_v = ev.value.find("ts");
+        const double ts = ts_v ? ts_v->asDouble() : -1.0;
         if (ph == "b") {
-            open[key] = Span{jsonField(line, "id"), ts, ts};
+            open[key] = Span{id, ts, ts};
         } else {
             auto it = open.find(key);
             if (it == open.end()) {
