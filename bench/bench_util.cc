@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "sim/stats_writer.h"
 #include "trace/generator.h"
@@ -442,90 +443,62 @@ BenchReport::write()
             ? static_cast<double>(perfNowNs() - g_harnessStartNs) / 1e9
             : total_wall;
 
+    // Counts go out as doubles, as they always have, so each leaf
+    // keeps its text (a round 12000000 reads "1.2e+07").
+    const auto num = [](auto v) { return static_cast<double>(v); };
     std::string out;
     out.reserve(4 * 1024);
-    const auto key_str = [&out](const char *k, const std::string &v) {
-        out += '"';
-        out += k;
-        out += "\":\"";
-        out += StatsWriter::jsonEscape(v);
-        out += '"';
-    };
-    const auto key_num = [&out](const char *k, double v) {
-        out += '"';
-        out += k;
-        out += "\":";
-        out += StatsWriter::formatDouble(v);
-    };
-    out += "{\n  ";
-    key_str("schema", "mempod-bench-v1");
-    out += ",\n  ";
-    key_str("name", name_);
-    out += ",\n  \"host\": {";
-    key_str("sysname", host.sysname);
-    out += ',';
-    key_str("machine", host.machine);
-    out += ',';
-    key_num("cpus", host.cpus);
-    out += "},\n  ";
-    key_num("jobs", static_cast<double>(jobWallSeconds_.size()));
-    out += ",\n  \"wall_seconds\": {";
-    key_num("total", harness_wall);
-    out += ',';
-    key_num("sum", total_wall);
-    out += ',';
-    key_num("median", quantile(sorted, 0.50));
-    out += ',';
-    key_num("p10", quantile(sorted, 0.10));
-    out += ',';
-    key_num("p90", quantile(sorted, 0.90));
-    out += "},\n  ";
-    key_num("events_executed", static_cast<double>(events_));
-    out += ",\n  ";
-    key_num("events_per_second",
-            total_wall > 0 ? static_cast<double>(events_) / total_wall
-                           : 0.0);
-    out += ",\n  ";
-    // Fidelity-fair throughput: simulated milliseconds retired per
-    // host second (events/s rewards models that spend *more* events
-    // per request). Wall-clock based, so noisy on shared runners.
-    key_num("sim_ms_per_second",
-            total_wall > 0
-                ? static_cast<double>(simulatedPs_) / 1e9 / total_wall
-                : 0.0);
-    out += ",\n  ";
-    // Simulation cost: events executed per simulated millisecond — a
-    // pure function of the configs and traces, so byte-deterministic
-    // across hosts. The sampled-speedup CI gate compares this leaf
-    // (perf_tool diff --require-speedup): sampling's whole point is
-    // retiring the same simulated time in ~10x fewer events.
-    key_num("events_per_sim_ms",
-            simulatedPs_ > 0
-                ? static_cast<double>(events_) /
-                      (static_cast<double>(simulatedPs_) / 1e9)
-                : 0.0);
-    out += ",\n  \"phases_ns\": {";
-    bool first = true;
-    for (const auto &[phase, ns] : mergedPerf_.phasesNs) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += StatsWriter::jsonEscape(phase);
-        out += "\":";
-        out += StatsWriter::formatDouble(static_cast<double>(ns));
-    }
-    out += "},\n  \"benchmarks\": [";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (i)
-            out += ',';
-        out += "\n    {";
-        key_str("name", entries_[i].first);
-        out += ',';
-        key_num("wall_ms", entries_[i].second);
-        out += '}';
-    }
-    out += entries_.empty() ? "]\n}\n" : "\n  ]\n}\n";
+    json::Writer w(out, {json::ColonSpace::kBeforeObjects});
+    w.beginObject(json::Wrap::kLines)
+        .member("schema", "mempod-bench-v1")
+        .member("name", name_)
+        .key("host")
+        .beginObject()
+        .member("sysname", host.sysname)
+        .member("machine", host.machine)
+        .member("cpus", num(host.cpus))
+        .endObject()
+        .member("jobs", num(jobWallSeconds_.size()))
+        .key("wall_seconds")
+        .beginObject()
+        .member("total", harness_wall)
+        .member("sum", total_wall)
+        .member("median", quantile(sorted, 0.50))
+        .member("p10", quantile(sorted, 0.10))
+        .member("p90", quantile(sorted, 0.90))
+        .endObject()
+        .member("events_executed", num(events_))
+        .member("events_per_second",
+                total_wall > 0 ? num(events_) / total_wall : 0.0)
+        // Fidelity-fair throughput: simulated milliseconds retired per
+        // host second (events/s rewards models that spend *more*
+        // events per request). Wall-clock based, so noisy on shared
+        // runners.
+        .member("sim_ms_per_second",
+                total_wall > 0 ? num(simulatedPs_) / 1e9 / total_wall
+                               : 0.0)
+        // Simulation cost: events executed per simulated millisecond —
+        // a pure function of the configs and traces, so
+        // byte-deterministic across hosts. The sampled-speedup CI gate
+        // compares this leaf (perf_tool diff --require-speedup):
+        // sampling's whole point is retiring the same simulated time
+        // in ~10x fewer events.
+        .member("events_per_sim_ms",
+                simulatedPs_ > 0
+                    ? num(events_) / (num(simulatedPs_) / 1e9)
+                    : 0.0)
+        .key("phases_ns")
+        .beginObject();
+    for (const auto &[phase, ns] : mergedPerf_.phasesNs)
+        w.member(phase, num(ns));
+    w.endObject().key("benchmarks").beginArray(json::Wrap::kLines);
+    for (const auto &[name, wall_ms] : entries_)
+        w.beginObject()
+            .member("name", name)
+            .member("wall_ms", wall_ms)
+            .endObject();
+    w.endArray().endObject();
+    out += '\n';
 
     const std::string path = dir_ + "/BENCH_" + name_ + ".json";
     StatsWriter::writeFile(path, out);

@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "common/log.h"
+
 namespace mempod::json {
 
 namespace {
@@ -304,6 +306,191 @@ parse(std::string_view text)
         out.error = std::move(e);
     }
     return out;
+}
+
+namespace {
+
+// Writer::frames_ bits.
+constexpr std::uint8_t kObject = 1;  // else an array
+constexpr std::uint8_t kLines = 2;   // Wrap::kLines
+constexpr std::uint8_t kHasItem = 4; // a comma is due before the next item
+
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    std::size_t plain = 0; // start of the run not yet copied
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, plain, i - plain);
+        plain = i + 1;
+        // Named escapes for these five only: \b and \f stay \u00xx
+        // so existing artifacts keep their bytes.
+        static constexpr std::string_view named = "\"\\\n\r\t";
+        static constexpr std::string_view letter = "\"\\nrt";
+        const std::size_t k = named.find(static_cast<char>(c));
+        out += '\\';
+        if (k != std::string_view::npos) {
+            out += letter[k];
+        } else {
+            out += "u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xF];
+        }
+    }
+    out.append(s, plain);
+}
+
+} // namespace
+
+std::string
+escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
+    return out;
+}
+
+std::string
+formatDouble(double v)
+{
+    std::string out;
+    Writer(out).value(v);
+    return out;
+}
+
+void
+Writer::item()
+{
+    std::uint8_t &frame = frames_[depth_ - 1];
+    if (frame & kHasItem)
+        out_ += ',';
+    frame |= kHasItem;
+    if (frame & kLines) {
+        out_ += '\n';
+        out_.append(layout_.indent * depth_, ' ');
+    }
+}
+
+void
+Writer::beforeValue(bool isObject)
+{
+    if (keyPending_) {
+        keyPending_ = false;
+        out_ += ':';
+        if (layout_.colonSpace == ColonSpace::kAlways ||
+            (layout_.colonSpace == ColonSpace::kBeforeObjects && isObject))
+            out_ += ' ';
+    } else if (depth_ > 0) {
+        MEMPOD_ASSERT(!(frames_[depth_ - 1] & kObject),
+                      "json::Writer: value without a key");
+        item();
+    }
+}
+
+Writer &
+Writer::key(std::string_view k)
+{
+    MEMPOD_ASSERT(depth_ > 0 && (frames_[depth_ - 1] & kObject) &&
+                      !keyPending_,
+                  "json::Writer: key outside an object");
+    item();
+    out_ += '"';
+    appendEscaped(out_, k);
+    out_ += '"';
+    keyPending_ = true;
+    return *this;
+}
+
+Writer &
+Writer::open(char bracket, Wrap wrap)
+{
+    beforeValue(bracket == '{');
+    MEMPOD_ASSERT(depth_ < kMaxDepth, "json::Writer: nesting too deep");
+    frames_[depth_++] = static_cast<std::uint8_t>(
+        (bracket == '{' ? kObject : 0) | (wrap == Wrap::kLines ? kLines : 0));
+    out_ += bracket;
+    return *this;
+}
+
+Writer &
+Writer::close(char bracket)
+{
+    const std::uint8_t want = bracket == '}' ? kObject : 0;
+    MEMPOD_ASSERT(depth_ > 0 && (frames_[depth_ - 1] & kObject) == want &&
+                      !keyPending_,
+                  "json::Writer: unbalanced '%c'", bracket);
+    const std::uint8_t frame = frames_[--depth_];
+    if ((frame & kLines) && (frame & kHasItem)) {
+        out_ += '\n';
+        out_.append(layout_.indent * depth_, ' ');
+    }
+    out_ += bracket;
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    beforeValue(false);
+    out_ += '"';
+    appendEscaped(out_, s);
+    out_ += '"';
+    return *this;
+}
+
+Writer &
+Writer::value(double v)
+{
+    if (!std::isfinite(v))
+        return null();
+    // Shortest text that round-trips to the same bits; unlike printf's
+    // %g, to_chars never consults LC_NUMERIC.
+    char buf[32];
+    return raw({buf, std::to_chars(buf, buf + sizeof buf, v).ptr});
+}
+
+Writer &
+Writer::fixed(double v, int decimals)
+{
+    if (!std::isfinite(v))
+        return null();
+    char buf[512]; // DBL_MAX has 309 integer digits
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::fixed, decimals);
+    MEMPOD_ASSERT(r.ec == std::errc{}, "json::Writer: fixed() overflow");
+    return raw({buf, r.ptr});
+}
+
+Writer &
+Writer::scaled(std::uint64_t v, unsigned decimals)
+{
+    MEMPOD_ASSERT(decimals <= 18, "json::Writer: scaled() takes at most "
+                                  "18 decimals");
+    std::uint64_t unit = 1;
+    for (unsigned i = 0; i < decimals; ++i)
+        unit *= 10;
+    value(v / unit);
+    if (decimals > 0) {
+        // unit + v % unit is a 1 followed by the zero-padded fraction.
+        char frac[24];
+        char *end =
+            std::to_chars(frac, frac + sizeof frac, unit + v % unit).ptr;
+        frac[0] = '.';
+        out_.append(frac, end);
+    }
+    return *this;
+}
+
+Writer &
+Writer::raw(std::string_view json)
+{
+    beforeValue(!json.empty() && json.front() == '{');
+    out_ += json;
+    return *this;
 }
 
 } // namespace mempod::json

@@ -1,7 +1,6 @@
 #include "common/tracer.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 
 namespace mempod {
 
@@ -17,50 +16,7 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out += buf;
-}
-
-/** Render a ps timestamp as a decimal microsecond value. */
-void
-appendTsUs(std::string &out, TimePs ps)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%06" PRIu64,
-                  ps / 1'000'000, ps % 1'000'000);
-    out += buf;
-}
-
 } // namespace
-
-TraceArgs &
-TraceArgs::add(const char *key, std::uint64_t v)
-{
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += key;
-    body_ += "\":";
-    appendU64(body_, v);
-    return *this;
-}
-
-TraceArgs &
-TraceArgs::add(const char *key, const char *v)
-{
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += key;
-    body_ += "\":\"";
-    body_ += v; // callers pass identifier-like strings; no escaping
-    body_ += '"';
-    return *this;
-}
 
 Tracer::Tracer(const TracerConfig &cfg) : cfg_(cfg)
 {
@@ -149,56 +105,61 @@ Tracer::toJson() const
 {
     std::string out;
     out.reserve(128 + events_.size() * 96);
-    out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            out += ",\n";
-        first = false;
-    };
+    // One event per line, unindented: trace_tool summary reads the
+    // file a line at a time.
+    json::Writer w(out, {json::ColonSpace::kNever, 0});
+    w.beginObject()
+        .member("displayTimeUnit", "ns")
+        .key("traceEvents")
+        .beginArray(json::Wrap::kLines);
 
     // Process/track names first: Perfetto applies metadata regardless
     // of position, but leading metadata keeps the file human-scannable.
-    sep();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-           "\"args\":{\"name\":\"mempod-sim\"}}";
-    for (std::size_t t = 0; t < trackNames_.size(); ++t) {
-        sep();
-        out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
-        appendU64(out, t);
-        out += ",\"args\":{\"name\":\"";
-        out += trackNames_[t];
-        out += "\"}}";
-    }
+    auto metadata = [&w](const char *what, std::size_t tid,
+                         std::string_view name) {
+        w.beginObject()
+            .member("name", what)
+            .member("ph", "M")
+            .member("pid", 0)
+            .member("tid", tid)
+            .key("args")
+            .beginObject()
+            .member("name", name)
+            .endObject()
+            .endObject();
+    };
+    metadata("process_name", 0, "mempod-sim");
+    for (std::size_t t = 0; t < trackNames_.size(); ++t)
+        metadata("thread_name", t, trackNames_[t]);
 
     for (const Event &e : events_) {
-        sep();
-        out += "{\"name\":\"";
-        out += e.name;
-        out += "\",\"ph\":\"";
-        out += e.ph;
-        out += "\",\"ts\":";
-        appendTsUs(out, e.ts);
-        out += ",\"pid\":0,\"tid\":";
-        appendU64(out, e.tid);
+        w.beginObject()
+            .member("name", e.name)
+            .member("ph", std::string_view(&e.ph, 1))
+            .key("ts")
+            .scaled(e.ts, 6) // ps as µs, exactly
+            .member("pid", 0)
+            .member("tid", e.tid);
         if (e.cat != nullptr) {
-            out += ",\"cat\":\"";
-            out += e.cat;
-            out += "\",\"id\":\"";
-            appendU64(out, e.id);
-            out += '"';
+            char id[24];
+            const auto end = std::to_chars(id, id + sizeof id, e.id).ptr;
+            w.member("cat", e.cat)
+                .member("id", std::string_view(id, end - id));
         }
         // Flow "s"/"t"/"f" events require a binding point; "e" enclosing
         // slice binding is the default for flow ends.
         if (e.ph == 's' || e.ph == 't' || e.ph == 'f')
-            out += ",\"bp\":\"e\"";
-        out += ",\"args\":";
-        out += e.args.empty() ? "{}" : e.args;
-        out += '}';
+            w.member("bp", "e");
+        w.key("args");
+        if (e.args.empty())
+            w.beginObject().endObject();
+        else
+            w.raw(e.args);
+        w.endObject();
     }
 
-    out += "\n]}\n";
+    w.endArray().endObject();
+    out += '\n';
     return out;
 }
 

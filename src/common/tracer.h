@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/types.h"
 
 namespace mempod {
@@ -43,14 +44,31 @@ struct TracerConfig
 class TraceArgs
 {
   public:
-    TraceArgs &add(const char *key, std::uint64_t v);
-    TraceArgs &add(const char *key, const char *v);
+    template <typename T>
+    TraceArgs &
+    add(const char *key, const T &v)
+    {
+        if (w_.depth() == 0)
+            w_.beginObject();
+        w_.member(key, v);
+        return *this;
+    }
 
-    /** The finished object, e.g. {"core":3,"write":0}. */
-    std::string str() const { return body_.empty() ? "" : "{" + body_ + "}"; }
+    /**
+     * The finished object, e.g. {"core":3,"write":0}, or "" when
+     * nothing was added. Closes the object: add nothing after it.
+     */
+    std::string
+    str()
+    {
+        if (w_.depth() != 0)
+            w_.endObject();
+        return body_;
+    }
 
   private:
     std::string body_;
+    json::Writer w_{body_};
 };
 
 /** Records spans; one instance per Simulation. */

@@ -16,7 +16,6 @@
 
 #include "common/json.h"
 #include "common/log.h"
-#include "sim/stats_writer.h"
 
 namespace mempod {
 
@@ -79,49 +78,30 @@ parseValue(DramModel &dst, const std::string &v, const char *key)
     }
 }
 
-std::string
-quoted(const std::string &s)
+void
+writeValue(json::Writer &w, Mechanism m)
 {
-    return "\"" + StatsWriter::jsonEscape(s) + "\"";
+    w.value(mechanismName(m));
 }
 
-std::string
-printValue(bool v)
+void
+writeValue(json::Writer &w, DramModel m)
 {
-    return v ? "true" : "false";
-}
-
-std::string
-printValue(const std::string &v)
-{
-    return quoted(v);
-}
-
-std::string
-printValue(Mechanism m)
-{
-    return quoted(mechanismName(m));
-}
-
-std::string
-printValue(DramModel m)
-{
-    return quoted(dramModelName(m));
+    w.value(dramModelName(m));
 }
 
 template <typename T>
-std::string
-printValue(T v)
+void
+writeValue(json::Writer &w, const T &v)
 {
-    static_assert(std::is_unsigned_v<T>);
-    return std::to_string(v);
+    w.value(v);
 }
 
 /** One leaf knob: a dotted key plus its accessors. */
 struct Field
 {
     const char *key;
-    std::function<std::string(const SimConfig &)> get;
+    std::function<void(const SimConfig &, json::Writer &)> write;
     std::function<void(SimConfig &, const std::string &)> set;
 };
 
@@ -129,7 +109,10 @@ struct Field
 #define MEMPOD_CONFIG_FIELD(key, expr)                                 \
     Field                                                              \
     {                                                                  \
-        key, [](const SimConfig &c) { return printValue(c.expr); },    \
+        key,                                                           \
+            [](const SimConfig &c, json::Writer &w) {                  \
+                writeValue(w, c.expr);                                 \
+            },                                                         \
             [](SimConfig &c, const std::string &v) {                   \
                 parseValue(c.expr, v, key);                            \
             }                                                          \
@@ -319,56 +302,37 @@ applyObject(SimConfig &cfg, const json::Value &obj,
     }
 }
 
-/** Order-preserving JSON tree assembled from the dotted field keys. */
-struct JsonNode
-{
-    std::string value; // leaf payload (already JSON-encoded)
-    std::vector<std::pair<std::string, JsonNode>> children;
-
-    JsonNode &
-    child(const std::string &name)
-    {
-        for (auto &[n, node] : children)
-            if (n == name)
-                return node;
-        children.emplace_back(name, JsonNode{});
-        return children.back().second;
-    }
-
-    void
-    emit(std::string &out, std::size_t depth) const
-    {
-        if (children.empty()) {
-            out += value;
-            return;
-        }
-        out += "{\n";
-        for (std::size_t i = 0; i < children.size(); ++i) {
-            out.append(2 * (depth + 1), ' ');
-            out += quoted(children[i].first) + ": ";
-            children[i].second.emit(out, depth + 1);
-            out += i + 1 < children.size() ? ",\n" : "\n";
-        }
-        out.append(2 * depth, ' ');
-        out += "}";
-    }
-};
-
 } // namespace
 
 std::string
 SimConfig::toJson() const
 {
-    JsonNode root;
-    for (const Field &f : fieldTable()) {
-        JsonNode *node = &root;
-        for (const std::string &seg : splitKey(f.key))
-            node = &node->child(seg);
-        node->value = f.get(*this);
-    }
+    // fieldTable() lists each object's leaves together, so one pass
+    // streams the nesting out: close the objects the next key leaves,
+    // open the ones it enters. (A split group would repeat a key,
+    // which fromJson rejects and the round-trip tests catch.)
     std::string out;
-    root.emit(out, 0);
-    out += "\n";
+    json::Writer w(out, {json::ColonSpace::kAlways});
+    w.beginObject(json::Wrap::kLines);
+    std::vector<std::string> open; // path of the innermost open object
+    for (const Field &f : fieldTable()) {
+        const std::vector<std::string> segs = splitKey(f.key);
+        std::size_t keep = 0;
+        while (keep < open.size() && keep + 1 < segs.size() &&
+               open[keep] == segs[keep])
+            ++keep;
+        for (; open.size() > keep; open.pop_back())
+            w.endObject();
+        while (open.size() + 1 < segs.size()) {
+            w.key(segs[open.size()]).beginObject(json::Wrap::kLines);
+            open.push_back(segs[open.size()]);
+        }
+        w.key(segs.back());
+        f.write(*this, w);
+    }
+    while (w.depth() > 0)
+        w.endObject();
+    out += '\n';
     return out;
 }
 

@@ -1,163 +1,79 @@
 #include "sim/stats_writer.h"
 
-#include <charconv>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include <unistd.h>
 
+#include "common/json.h"
+
 namespace mempod {
 
 namespace {
 
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out += buf;
-}
+using json::Wrap;
 
-void
-appendKeyString(std::string &out, const char *key, const std::string &v)
-{
-    out += '"';
-    out += key;
-    out += "\":\"";
-    out += StatsWriter::jsonEscape(v);
-    out += '"';
-}
+/** Stats and perf layout: `": "` after a key only before an object. */
+constexpr json::Layout kLayout{json::ColonSpace::kBeforeObjects};
 
+/** Write `"kind":...,<payload fields>` into the open object. */
 void
-appendKeyU64(std::string &out, const char *key, std::uint64_t v)
+writeMetricValue(json::Writer &w, const MetricValue &v)
 {
-    out += '"';
-    out += key;
-    out += "\":";
-    appendU64(out, v);
-}
-
-void
-appendKeyDouble(std::string &out, const char *key, double v)
-{
-    out += '"';
-    out += key;
-    out += "\":";
-    out += StatsWriter::formatDouble(v);
-}
-
-void
-appendBuckets(std::string &out, const std::vector<std::uint64_t> &b)
-{
-    out += '[';
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        if (i)
-            out += ',';
-        appendU64(out, b[i]);
-    }
-    out += ']';
-}
-
-/** Emit `"kind":...,<payload fields>` without surrounding braces. */
-void
-appendMetricValue(std::string &out, const MetricValue &v)
-{
-    out += "\"kind\":\"";
-    out += metricKindName(v.kind);
-    out += '"';
+    w.member("kind", metricKindName(v.kind));
     switch (v.kind) {
       case MetricKind::kCounter:
-        out += ',';
-        appendKeyU64(out, "value", v.count);
+        w.member("value", v.count);
         break;
       case MetricKind::kGauge:
-        out += ',';
-        appendKeyDouble(out, "value", v.real);
+        w.member("value", v.real);
         break;
       case MetricKind::kScalar:
-        out += ',';
-        appendKeyU64(out, "count", v.count);
-        out += ',';
-        appendKeyDouble(out, "sum", v.real);
-        out += ',';
-        appendKeyDouble(out, "min", v.min);
-        out += ',';
-        appendKeyDouble(out, "max", v.max);
-        out += ',';
-        appendKeyDouble(out, "mean", v.mean);
-        out += ',';
-        appendKeyDouble(out, "stddev", v.stddev);
+        w.member("count", v.count)
+            .member("sum", v.real)
+            .member("min", v.min)
+            .member("max", v.max)
+            .member("mean", v.mean)
+            .member("stddev", v.stddev);
         break;
       case MetricKind::kRatio:
-        out += ',';
-        appendKeyU64(out, "hits", v.hits);
-        out += ',';
-        appendKeyU64(out, "total", v.count);
-        out += ',';
-        appendKeyDouble(out, "rate", v.rate());
+        w.member("hits", v.hits)
+            .member("total", v.count)
+            .member("rate", v.rate());
         break;
       case MetricKind::kHistogram:
-        out += ',';
-        appendKeyU64(out, "count", v.count);
-        out += ",\"buckets\":";
-        appendBuckets(out, v.buckets);
+        w.member("count", v.count).key("buckets").beginArray();
+        for (const std::uint64_t b : v.buckets)
+            w.value(b);
+        w.endArray();
         break;
     }
+}
+
+void
+writePercentiles(json::Writer &w, const LatencyPercentiles &p)
+{
+    w.beginObject()
+        .member("p50", p.p50Ns)
+        .member("p95", p.p95Ns)
+        .member("p99", p.p99Ns)
+        .endObject();
 }
 
 } // namespace
 
+// One-line forwards kept because perfbench/harness.cc builds against
+// these signatures; new code calls json:: directly.
 std::string
 StatsWriter::jsonEscape(const std::string &s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    return json::escape(s);
 }
 
 std::string
 StatsWriter::formatDouble(double v)
 {
-    if (!std::isfinite(v))
-        return "null";
-    char buf[64];
-    // to_chars emits the shortest representation that round-trips to
-    // the identical bit pattern, and — unlike printf's %g — never
-    // consults LC_NUMERIC, so goldens hold on any host locale.
-    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    (void)ec; // 64 bytes always fit a double
-    return std::string(buf, end);
+    return json::formatDouble(v);
 }
 
 std::string
@@ -166,113 +82,68 @@ StatsWriter::toJson(const MetricRegistry &reg, const MetricSnapshot &snap,
 {
     std::string out;
     out.reserve(16 * 1024);
-    out += "{\n  ";
-    appendKeyString(out, "schema", "mempod-stats-v1");
-    out += ",\n  ";
-    appendKeyString(out, "workload", r.workload);
-    out += ",\n  ";
-    appendKeyString(out, "mechanism", r.mechanism);
-    out += ",\n  ";
-    appendKeyU64(out, "sim_time_ps", snap.simTimePs);
-    out += ",\n  \"summary\": {\n    ";
-    appendKeyDouble(out, "ammat_ns", r.ammatNs);
-    out += ",\n    ";
+    json::Writer w(out, kLayout);
+    w.beginObject(Wrap::kLines)
+        .member("schema", "mempod-stats-v1")
+        .member("workload", r.workload)
+        .member("mechanism", r.mechanism)
+        .member("sim_time_ps", snap.simTimePs)
+        .key("summary")
+        .beginObject(Wrap::kLines)
+        .member("ammat_ns", r.ammatNs);
     // Sampled-simulation keys appear only on sampled runs so detailed
     // goldens stay byte-identical.
     if (r.sampled) {
-        appendKeyDouble(out, "sampled_ammat_ns", r.sampledAmmatNs);
-        out += ",\n    ";
-        appendKeyDouble(out, "sampled_ci_ns", r.sampledCiNs);
-        out += ",\n    ";
-        appendKeyU64(out, "sample_windows", r.sampleWindows);
-        out += ",\n    ";
+        w.member("sampled_ammat_ns", r.sampledAmmatNs)
+            .member("sampled_ci_ns", r.sampledCiNs)
+            .member("sample_windows", r.sampleWindows);
     }
-    appendKeyU64(out, "demand_requests", r.demandRequests);
-    out += ",\n    ";
-    appendKeyU64(out, "completed", r.completed);
-    out += ",\n    ";
-    appendKeyDouble(out, "fast_service_fraction", r.fastServiceFraction);
-    out += ",\n    ";
-    appendKeyDouble(out, "row_hit_rate", r.rowHitRate);
-    out += ",\n    ";
-    appendKeyDouble(out, "row_hit_rate_fast", r.rowHitRateFast);
-    out += ",\n    ";
-    appendKeyU64(out, "simulated_ps", r.simulatedPs);
-    out += ",\n    ";
-    appendKeyU64(out, "events_executed", r.eventsExecuted);
-    out += ",\n    ";
-    appendKeyU64(out, "migrations", r.migration.migrations);
-    out += ",\n    ";
-    appendKeyU64(out, "bytes_moved", r.migration.bytesMoved);
-    out += ",\n    ";
-    appendKeyDouble(out, "data_moved_mib", r.dataMovedMiB());
-    out += ",\n    ";
-    appendKeyU64(out, "blocked_requests", r.migration.blockedRequests);
-    out += ",\n    ";
-    appendKeyU64(out, "intervals", r.migration.intervals);
-    out += ",\n    ";
-    appendKeyU64(out, "candidates_skipped",
-                 r.migration.candidatesSkipped);
-    out += ",\n    ";
-    appendKeyU64(out, "wasted_migrations", r.migration.wastedMigrations);
-    out += ",\n    ";
-    appendKeyU64(out, "meta_cache_hits", r.migration.metaCacheHits);
-    out += ",\n    ";
-    appendKeyU64(out, "meta_cache_misses", r.migration.metaCacheMisses);
-    out += ",\n    ";
-    out += "\"pod_local_migrations\":";
-    out += r.podLocalMigrations ? "true" : "false";
-    out += ",\n    \"per_core_ammat_ns\":[";
-    for (std::size_t c = 0; c < r.perCoreAmmatNs.size(); ++c) {
-        if (c)
-            out += ',';
-        out += formatDouble(r.perCoreAmmatNs[c]);
-    }
-    out += "],\n    \"attribution_ns\": {";
-    appendKeyDouble(out, "mshr_wait", r.attribution.mshrWaitNs);
-    out += ',';
-    appendKeyDouble(out, "metadata", r.attribution.metadataNs);
-    out += ',';
-    appendKeyDouble(out, "blocked", r.attribution.blockedNs);
-    out += ',';
-    appendKeyDouble(out, "queue_wait", r.attribution.queueWaitNs);
-    out += ',';
-    appendKeyDouble(out, "service", r.attribution.serviceNs);
-    out += ',';
-    appendKeyDouble(out, "total", r.attribution.totalNs());
-    out += "},\n    \"latency_ns\": {";
-    appendKeyDouble(out, "p50", r.latency.p50Ns);
-    out += ',';
-    appendKeyDouble(out, "p95", r.latency.p95Ns);
-    out += ',';
-    appendKeyDouble(out, "p99", r.latency.p99Ns);
-    out += "},\n    \"per_core_latency_ns\":[";
-    for (std::size_t c = 0; c < r.perCoreLatency.size(); ++c) {
-        if (c)
-            out += ',';
-        out += '{';
-        appendKeyDouble(out, "p50", r.perCoreLatency[c].p50Ns);
-        out += ',';
-        appendKeyDouble(out, "p95", r.perCoreLatency[c].p95Ns);
-        out += ',';
-        appendKeyDouble(out, "p99", r.perCoreLatency[c].p99Ns);
-        out += '}';
-    }
-    out += "]\n  },\n  \"metrics\": {\n";
-    bool first = true;
+    const MigrationStats &m = r.migration;
+    w.member("demand_requests", r.demandRequests)
+        .member("completed", r.completed)
+        .member("fast_service_fraction", r.fastServiceFraction)
+        .member("row_hit_rate", r.rowHitRate)
+        .member("row_hit_rate_fast", r.rowHitRateFast)
+        .member("simulated_ps", r.simulatedPs)
+        .member("events_executed", r.eventsExecuted)
+        .member("migrations", m.migrations)
+        .member("bytes_moved", m.bytesMoved)
+        .member("data_moved_mib", r.dataMovedMiB())
+        .member("blocked_requests", m.blockedRequests)
+        .member("intervals", m.intervals)
+        .member("candidates_skipped", m.candidatesSkipped)
+        .member("wasted_migrations", m.wastedMigrations)
+        .member("meta_cache_hits", m.metaCacheHits)
+        .member("meta_cache_misses", m.metaCacheMisses)
+        .member("pod_local_migrations", r.podLocalMigrations)
+        .key("per_core_ammat_ns")
+        .beginArray();
+    for (const double ns : r.perCoreAmmatNs)
+        w.value(ns);
+    const AmmatAttribution &a = r.attribution;
+    w.endArray()
+        .key("attribution_ns")
+        .beginObject()
+        .member("mshr_wait", a.mshrWaitNs)
+        .member("metadata", a.metadataNs)
+        .member("blocked", a.blockedNs)
+        .member("queue_wait", a.queueWaitNs)
+        .member("service", a.serviceNs)
+        .member("total", a.totalNs())
+        .endObject()
+        .key("latency_ns");
+    writePercentiles(w, r.latency);
+    w.key("per_core_latency_ns").beginArray();
+    for (const LatencyPercentiles &p : r.perCoreLatency)
+        writePercentiles(w, p);
+    w.endArray().endObject().key("metrics").beginObject(Wrap::kLines);
     for (const auto &[name, value] : snap.values) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        out += "    \"";
-        out += jsonEscape(name);
-        out += "\": {";
-        appendKeyString(out, "desc", reg.description(name));
-        out += ',';
-        appendMetricValue(out, value);
-        out += '}';
+        w.key(name).beginObject().member("desc", reg.description(name));
+        writeMetricValue(w, value);
+        w.endObject();
     }
-    out += "\n  }\n}\n";
+    w.endObject().endObject();
+    out += '\n';
     return out;
 }
 
@@ -280,40 +151,23 @@ std::string
 StatsWriter::toJsonl(const std::vector<IntervalRecord> &records)
 {
     std::string out;
+    json::Writer w(out);
     for (const IntervalRecord &rec : records) {
-        out += "{";
-        appendKeyU64(out, "interval", rec.index);
-        out += ',';
-        appendKeyU64(out, "start_ps", rec.startPs);
-        out += ',';
-        appendKeyU64(out, "end_ps", rec.endPs);
-        out += ",\"counters\":{";
-        bool first = true;
-        for (const auto &[name, v] : rec.delta.values) {
-            if (v.kind != MetricKind::kCounter || v.count == 0)
-                continue;
-            if (!first)
-                out += ',';
-            first = false;
-            out += '"';
-            out += jsonEscape(name);
-            out += "\":";
-            appendU64(out, v.count);
-        }
-        out += "},\"gauges\":{";
-        first = true;
-        for (const auto &[name, v] : rec.delta.values) {
-            if (v.kind != MetricKind::kGauge)
-                continue;
-            if (!first)
-                out += ',';
-            first = false;
-            out += '"';
-            out += jsonEscape(name);
-            out += "\":";
-            out += formatDouble(v.real);
-        }
-        out += "}}\n";
+        w.beginObject()
+            .member("interval", rec.index)
+            .member("start_ps", rec.startPs)
+            .member("end_ps", rec.endPs)
+            .key("counters")
+            .beginObject();
+        for (const auto &[name, v] : rec.delta.values)
+            if (v.kind == MetricKind::kCounter && v.count != 0)
+                w.member(name, v.count);
+        w.endObject().key("gauges").beginObject();
+        for (const auto &[name, v] : rec.delta.values)
+            if (v.kind == MetricKind::kGauge)
+                w.member(name, v.real);
+        w.endObject().endObject();
+        out += '\n';
     }
     return out;
 }
@@ -325,57 +179,39 @@ StatsWriter::decisionsToJsonl(const DecisionLog &log,
 {
     std::string out;
     out.reserve(128 + 160 * log.size());
-    out += '{';
-    appendKeyString(out, "schema", "mempod-decisions-v1");
-    out += ',';
-    appendKeyString(out, "workload", workload);
-    out += ',';
-    appendKeyString(out, "mechanism", mechanism);
-    out += ',';
-    appendKeyU64(out, "epoch_ps", log.epochPs());
-    out += ',';
-    appendKeyDouble(out, "benefit_per_touch_ns",
-                    log.benefitPerTouchNs());
-    out += ',';
-    appendKeyU64(out, "decisions", log.size());
-    out += ',';
-    appendKeyU64(out, "committed", log.committedCount());
-    out += ',';
-    appendKeyU64(out, "aborted", log.abortedCount());
-    out += ',';
-    appendKeyU64(out, "ping_pongs", log.pingPongCount());
-    out += "}\n";
+    json::Writer w(out);
+    w.beginObject()
+        .member("schema", "mempod-decisions-v1")
+        .member("workload", workload)
+        .member("mechanism", mechanism)
+        .member("epoch_ps", log.epochPs())
+        .member("benefit_per_touch_ns", log.benefitPerTouchNs())
+        .member("decisions", log.size())
+        .member("committed", log.committedCount())
+        .member("aborted", log.abortedCount())
+        .member("ping_pongs", log.pingPongCount())
+        .endObject();
+    out += '\n';
     for (const DecisionLog::Record &d : log.records()) {
-        out += '{';
-        appendKeyU64(out, "seq", d.seq);
-        out += ',';
-        appendKeyU64(out, "time_ps", d.timePs);
-        out += ',';
-        appendKeyU64(out, "epoch", d.epoch);
-        out += ",\"pod\":";
+        w.beginObject()
+            .member("seq", d.seq)
+            .member("time_ps", d.timePs)
+            .member("epoch", d.epoch)
+            .key("pod");
         if (d.pod == DecisionLog::kNoPod)
-            out += "null"; // centralized mechanism, no Pod identity
+            w.null(); // centralized mechanism, no Pod identity
         else
-            appendU64(out, d.pod);
-        out += ',';
-        appendKeyU64(out, "page", d.page);
-        out += ',';
-        appendKeyU64(out, "victim", d.victim);
-        out += ',';
-        appendKeyU64(out, "tracker_count", d.trackerCount);
-        out += ',';
-        appendKeyDouble(out, "predicted_benefit_ns",
-                        d.predictedBenefitNs);
-        out += ',';
-        appendKeyString(out, "outcome",
-                        DecisionLog::outcomeName(d.outcome));
-        out += ',';
-        appendKeyU64(out, "commit_ps", d.commitPs);
-        out += ",\"ping_pong\":";
-        out += d.pingPong ? "true" : "false";
-        out += ',';
-        appendKeyU64(out, "realized_near_hits", d.realizedNearHits);
-        out += "}\n";
+            w.value(d.pod);
+        w.member("page", d.page)
+            .member("victim", d.victim)
+            .member("tracker_count", d.trackerCount)
+            .member("predicted_benefit_ns", d.predictedBenefitNs)
+            .member("outcome", DecisionLog::outcomeName(d.outcome))
+            .member("commit_ps", d.commitPs)
+            .member("ping_pong", d.pingPong)
+            .member("realized_near_hits", d.realizedNearHits)
+            .endObject();
+        out += '\n';
     }
     return out;
 }
@@ -412,69 +248,39 @@ StatsWriter::perfToJson(const PerfReport &r)
     const PerfHostInfo host = perfHostInfo();
     std::string out;
     out.reserve(4 * 1024);
-    out += "{\n  ";
-    appendKeyString(out, "schema", "mempod-perf-v1");
-    out += ",\n  \"host\": {";
-    appendKeyString(out, "sysname", host.sysname);
-    out += ',';
-    appendKeyString(out, "machine", host.machine);
-    out += ',';
-    appendKeyU64(out, "cpus", host.cpus);
-    out += "},\n  ";
-    appendKeyDouble(out, "wall_seconds", r.wallSeconds);
-    out += ",\n  ";
-    appendKeyU64(out, "max_rss_kib", r.maxRssKib);
-    out += ",\n  ";
-    appendKeyU64(out, "sim_time_ps", r.simTimePs);
-    out += ",\n  ";
-    appendKeyU64(out, "events_executed", r.eventsExecuted);
-    out += ",\n  ";
-    appendKeyDouble(out, "events_per_second", r.eventsPerSecond);
-    out += ",\n  \"phases_ns\": {";
-    bool first = true;
-    for (const auto &[name, ns] : r.phasesNs) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += jsonEscape(name);
-        out += "\":";
-        appendU64(out, ns);
-    }
-    out += "},\n  \"counters\": {";
-    first = true;
-    for (const auto &[name, v] : r.counters) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += jsonEscape(name);
-        out += "\":";
-        appendU64(out, v);
-    }
-    out += "},\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, v] : r.gauges) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += jsonEscape(name);
-        out += "\":";
-        out += formatDouble(v);
-    }
-    out += "},\n  \"histograms\": {";
-    first = true;
+    json::Writer w(out, kLayout);
+    w.beginObject(Wrap::kLines)
+        .member("schema", "mempod-perf-v1")
+        .key("host")
+        .beginObject()
+        .member("sysname", host.sysname)
+        .member("machine", host.machine)
+        .member("cpus", host.cpus)
+        .endObject()
+        .member("wall_seconds", r.wallSeconds)
+        .member("max_rss_kib", r.maxRssKib)
+        .member("sim_time_ps", r.simTimePs)
+        .member("events_executed", r.eventsExecuted)
+        .member("events_per_second", r.eventsPerSecond)
+        .key("phases_ns")
+        .beginObject();
+    for (const auto &[name, ns] : r.phasesNs)
+        w.member(name, ns);
+    w.endObject().key("counters").beginObject();
+    for (const auto &[name, v] : r.counters)
+        w.member(name, v);
+    w.endObject().key("gauges").beginObject();
+    for (const auto &[name, v] : r.gauges)
+        w.member(name, v);
+    w.endObject().key("histograms").beginObject();
     for (const auto &[name, buckets] : r.histograms) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"';
-        out += jsonEscape(name);
-        out += "\":";
-        appendBuckets(out, buckets);
+        w.key(name).beginArray();
+        for (const std::uint64_t b : buckets)
+            w.value(b);
+        w.endArray();
     }
-    out += "}\n}\n";
+    w.endObject().endObject();
+    out += '\n';
     return out;
 }
 

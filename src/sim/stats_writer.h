@@ -25,14 +25,10 @@ namespace mempod {
 class StatsWriter
 {
   public:
-    /** Escape `s` for inclusion inside a JSON string literal. */
+    /** json::escape(s), for callers outside src/ (perfbench). */
     static std::string jsonEscape(const std::string &s);
 
-    /**
-     * Shortest round-trip decimal rendering of `v`; non-finite values
-     * become `null` (JSON has no NaN/Inf). Uses std::to_chars, so the
-     * bytes are identical under any host LC_NUMERIC locale.
-     */
+    /** json::formatDouble(v): shortest round trip, null if non-finite. */
     static std::string formatDouble(double v);
 
     /**

@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests for json::parse, the repo's one JSON reader: a table of
+ * Unit tests for the repo's one JSON layer. json::parse: a table of
  * valid and invalid documents (each invalid one pinned to the byte
- * offset of its error), string escapes and UTF-8, exact integers,
- * the nesting cap, and a check that every JSON document the
- * simulator and harnesses emit parses under the strict grammar.
+ * offset of its error), string escapes and UTF-8, exact integers and
+ * the nesting cap. json::Writer: exact bytes for nesting, commas,
+ * numbers, escapes and each layout. Then a check that every JSON
+ * document the simulator and harnesses emit parses under the strict
+ * grammar, and size + hash pins on the byte-contract artifacts.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -202,6 +205,200 @@ TEST(Json, EveryAsciiByteSurvivesJsonEscape)
     EXPECT_EQ(p.value.text(), utf8);
 }
 
+/** The bytes a writer appends for the calls in `build`. */
+template <typename Build>
+std::string
+written(Build build, json::Layout layout = {})
+{
+    std::string out;
+    json::Writer w(out, layout);
+    build(w);
+    EXPECT_EQ(w.depth(), 0u) << out;
+    return out;
+}
+
+TEST(Json, WriterPlacesCommasAndNesting)
+{
+    using json::Writer;
+    const struct
+    {
+        std::string got;
+        const char *want;
+    } cases[] = {
+        {written([](Writer &w) { w.beginObject().endObject(); }), "{}"},
+        {written([](Writer &w) { w.beginArray().endArray(); }), "[]"},
+        {written([](Writer &w) { w.value(7); }), "7"},
+        {written([](Writer &w) {
+             w.beginArray().value(1).value("a").null().value(true)
+                 .value(false).endArray();
+         }),
+         R"([1,"a",null,true,false])"},
+        {written([](Writer &w) {
+             w.beginObject().member("a", 1).key("b").beginArray()
+                 .beginObject().member("c", "d").endObject()
+                 .beginArray().endArray().endArray()
+                 .key("e").beginObject().endObject().endObject();
+         }),
+         R"({"a":1,"b":[{"c":"d"},[]],"e":{}})"},
+        // Depth-0 values follow each other with no separator (JSONL).
+        {written([](Writer &w) {
+             w.beginObject().member("n", 1).endObject();
+             w.beginObject().member("n", 2).endObject();
+         }),
+         R"({"n":1}{"n":2})"},
+        {written([](Writer &w) {
+             w.beginObject().key("raw").raw(R"({"x":[1]})")
+                 .member("y", 2).endObject();
+         }),
+         R"({"raw":{"x":[1]},"y":2})"},
+    };
+    for (const auto &[got, want] : cases)
+        EXPECT_EQ(got, want);
+}
+
+TEST(Json, WriterNumbers)
+{
+    using json::Writer;
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const struct
+    {
+        std::string got;
+        const char *want;
+    } cases[] = {
+        {written([](Writer &w) {
+             w.value(std::numeric_limits<std::uint64_t>::max());
+         }),
+         "18446744073709551615"},
+        {written([](Writer &w) {
+             w.value(std::numeric_limits<std::int64_t>::min());
+         }),
+         "-9223372036854775808"},
+        {written([](Writer &w) { w.value(std::uint8_t{200}); }), "200"},
+        {written([](Writer &w) {
+             w.beginArray().value(0.1).value(16.5).value(0.0).value(-2.5e-3)
+                 .value(1e300).value(12000000.0).endArray();
+         }),
+         "[0.1,16.5,0,-0.0025,1e+300,1.2e+07]"},
+        // JSON has no NaN or Inf: non-finite values become null.
+        {written([=](Writer &w) {
+             w.beginArray().value(inf).value(-inf)
+                 .value(std::numeric_limits<double>::quiet_NaN())
+                 .fixed(inf, 3).endArray();
+         }),
+         "[null,null,null,null]"},
+        {written([](Writer &w) {
+             w.beginArray().fixed(1.0005, 3).fixed(2.0, 3).fixed(-0.25, 1)
+                 .fixed(123.456, 0).endArray();
+         }),
+         "[1.000,2.000,-0.2,123]"},
+        {written([](Writer &w) {
+             w.beginArray().scaled(1'500'000, 6).scaled(7, 6).scaled(0, 6)
+                 .scaled(42, 0)
+                 .scaled(std::numeric_limits<std::uint64_t>::max(), 6)
+                 .endArray();
+         }),
+         "[1.500000,0.000007,0.000000,42,18446744073709.551615]"},
+    };
+    for (const auto &[got, want] : cases)
+        EXPECT_EQ(got, want);
+}
+
+TEST(Json, WriterEscapesEveryStringAndKey)
+{
+    const std::string got = written([](json::Writer &w) {
+        w.beginObject()
+            .member(std::string_view("k\"\\\n\x01", 5),
+                    std::string_view("\t\r\b\f\x1f\x7f\0\xc3\xa9", 9))
+            .endObject();
+    });
+    EXPECT_EQ(got, R"({"k\"\\\n\u0001":"\t\r\u0008\u000c\u001f)"
+                   "\x7f\\u0000\xc3\xa9\"}");
+    const json::Parsed p = json::parse(got);
+    ASSERT_FALSE(p.error) << p.error->what;
+    ASSERT_EQ(p.value.members().size(), 1u);
+    EXPECT_EQ(p.value.members()[0].first, std::string("k\"\\\n\x01", 5));
+    EXPECT_EQ(p.value.members()[0].second.text(),
+              std::string("\t\r\b\f\x1f\x7f\0\xc3\xa9", 9));
+}
+
+TEST(Json, WriterLayouts)
+{
+    using json::ColonSpace;
+    using json::Wrap;
+    auto doc = [](json::Writer &w) {
+        w.beginObject(Wrap::kLines)
+            .member("a", 1)
+            .key("o")
+            .beginObject(Wrap::kLines)
+            .key("in")
+            .beginObject()
+            .member("x", 1.5)
+            .endObject()
+            .key("arr")
+            .beginArray()
+            .value(1)
+            .value(2)
+            .endArray()
+            .key("empty")
+            .beginArray(Wrap::kLines)
+            .endArray()
+            .endObject()
+            .key("rows")
+            .beginArray(Wrap::kLines)
+            .beginObject()
+            .member("k", "v")
+            .endObject()
+            .value(3)
+            .endArray()
+            .endObject();
+    };
+    // Stats/perf/bench: ": " only before an object.
+    EXPECT_EQ(written(doc, {ColonSpace::kBeforeObjects}),
+              "{\n"
+              "  \"a\":1,\n"
+              "  \"o\": {\n"
+              "    \"in\": {\"x\":1.5},\n"
+              "    \"arr\":[1,2],\n"
+              "    \"empty\":[]\n"
+              "  },\n"
+              "  \"rows\":[\n"
+              "    {\"k\":\"v\"},\n"
+              "    3\n"
+              "  ]\n"
+              "}");
+    // Config: ": " before every value.
+    EXPECT_EQ(written(doc, {ColonSpace::kAlways}),
+              "{\n"
+              "  \"a\": 1,\n"
+              "  \"o\": {\n"
+              "    \"in\": {\"x\": 1.5},\n"
+              "    \"arr\": [1,2],\n"
+              "    \"empty\": []\n"
+              "  },\n"
+              "  \"rows\": [\n"
+              "    {\"k\": \"v\"},\n"
+              "    3\n"
+              "  ]\n"
+              "}");
+    // Trace: compact, one array item per line, no indent.
+    EXPECT_EQ(written(
+                  [](json::Writer &w) {
+                      w.beginObject()
+                          .key("traceEvents")
+                          .beginArray(Wrap::kLines)
+                          .beginObject()
+                          .member("ph", "B")
+                          .endObject()
+                          .beginObject()
+                          .member("ph", "E")
+                          .endObject()
+                          .endArray()
+                          .endObject();
+                  },
+                  {ColonSpace::kNever, 0}),
+              "{\"traceEvents\":[\n{\"ph\":\"B\"},\n{\"ph\":\"E\"}\n]}");
+}
+
 /** Parse `text` as one document; fails the test with the error. */
 void
 expectParses(const std::string &text, const std::string &what)
@@ -282,6 +479,64 @@ TEST(Json, EveryEmitterOutputParses)
     ss << in.rdbuf();
     expectParses(ss.str(), "BENCH sidecar");
     std::filesystem::remove_all(dir);
+}
+
+/** FNV-1a 64 of `s`: a compact pin for a document's exact bytes. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Json, ContractArtifactBytesArePinned)
+{
+    // Size and FNV-1a of the byte-contract artifacts of one tiny
+    // MemPod run with the tracer, the interval sampler and the
+    // decision ledger on, pinned before the emitters moved onto
+    // json::Writer: these bytes must not move.
+    SimConfig c = SimConfig::paper(Mechanism::kMemPod);
+    c.geom = SystemGeometry::tiny();
+    c.mempod.interval = 20_us;
+    c.mempod.pod.meaEntries = 16;
+    c.statsIntervalPs = 20_us;
+    c.tracer.enabled = true;
+    c.tracer.sampleEvery = 8;
+    GeneratorConfig gc;
+    gc.totalRequests = 20000;
+    gc.footprintScale = 0.015;
+    Simulation sim(c);
+    const RunResult r =
+        sim.run(WorkloadCatalog::global().build("xalanc", gc), "xalanc");
+    ASSERT_NE(sim.sampler(), nullptr);
+    ASSERT_NE(sim.decisionLog(), nullptr);
+    ASSERT_NE(sim.tracer(), nullptr);
+    const struct
+    {
+        const char *what;
+        std::string bytes;
+        std::size_t size;
+        std::uint64_t hash;
+    } pins[] = {
+        {"stats",
+         StatsWriter::toJson(sim.registry(), sim.finalSnapshot(), r), 93563,
+         0x1d481c6c68c81928ull},
+        {"intervals", StatsWriter::toJsonl(sim.sampler()->records()), 119135,
+         0xcc787c13e0e30cbdull},
+        {"decisions",
+         StatsWriter::decisionsToJsonl(*sim.decisionLog(), "xalanc",
+                                       r.mechanism),
+         21315, 0xbe3217e8f5e19555ull},
+        {"trace", sim.tracer()->toJson(), 1836021, 0x06b87e7782f77f12ull},
+    };
+    for (const auto &[what, bytes, size, hash] : pins) {
+        EXPECT_EQ(bytes.size(), size) << what;
+        EXPECT_EQ(fnv1a(bytes), hash) << what;
+    }
 }
 
 } // namespace

@@ -3,7 +3,10 @@
  * End-to-end tests of the CLI tools, invoking the real binaries
  * (paths injected by CMake as MEMPOD_*_TOOL_PATH):
  *   - trace_tool summary --json emits the pinned
- *     mempod-trace-summary-v1 schema
+ *     mempod-trace-summary-v1 schema, as valid JSON even for event
+ *     names that need escaping and ids of any length
+ *   - trace_tool convert prints a manifest entry that parses and names
+ *     the converted files, whatever characters their paths hold
  *   - perf_tool diff tolerates metric keys present in only one file
  *     (reports "(new)"/"(removed)" instead of crashing or silently
  *     skipping)
@@ -20,6 +23,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/json.h"
 #include "sim/simulation.h"
 #include "sim/stats_writer.h"
 #include "trace/catalog.h"
@@ -108,6 +112,80 @@ TEST(TraceTool, SummaryJsonMatchesPinnedSchema)
           "\"markers\":", "\"demands\":", "\"migrations\":",
           "\"blocked\":", "\"complete\":", "\"total_us\":", "\"top\":"})
         EXPECT_NE(r.out.find(key), std::string::npos) << key;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceTool, SummaryJsonEscapesNamesAndKeepsLongIds)
+{
+    const auto dir = tmpDir();
+    const std::string id = "span-" + std::string(195, '7');
+    const auto trace_file = dir / "hostile.trace.json";
+    writeText(trace_file,
+              "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+              R"({"name":"we\"ird","ph":"i","ts":0.5,"pid":0,"tid":0},)"
+              "\n"
+              R"({"name":"demand","ph":"b","ts":1.0,"pid":0,"tid":0,)"
+              R"("cat":"req","id":")" +
+                  id + "\"},\n" +
+                  R"({"name":"demand","ph":"e","ts":3.25,"pid":0,"tid":0,)"
+                  R"("cat":"req","id":")" +
+                  id + "\"},\n" +
+                  R"({"name":"we\"ird","ph":"i","ts":4,"pid":0,"tid":0})"
+                  "\n]}\n");
+
+    const CmdResult r = run(std::string(MEMPOD_TRACE_TOOL_PATH) +
+                            " summary " + trace_file.string() +
+                            " --json");
+    EXPECT_EQ(r.status, 0);
+    const json::Parsed p = json::parse(r.out);
+    ASSERT_FALSE(p.error) << p.error->what << ": " << r.out;
+    const json::Value *marker = p.value.find("markers")->find("we\"ird");
+    ASSERT_NE(marker, nullptr) << r.out;
+    EXPECT_EQ(marker->asU64().value_or(0), 2u);
+    const json::Value *count = p.value.find("counts")->find("i we\"ird");
+    ASSERT_NE(count, nullptr) << r.out;
+    EXPECT_EQ(count->asU64().value_or(0), 2u);
+    const json::Value *top = p.value.find("demands")->find("top");
+    ASSERT_NE(top, nullptr) << r.out;
+    ASSERT_EQ(top->items().size(), 1u) << r.out;
+    EXPECT_EQ(top->items()[0].find("id")->text(), id);
+    EXPECT_EQ(top->items()[0].find("begin_us")->text(), "1.000");
+    EXPECT_EQ(top->items()[0].find("dur_us")->text(), "2.250");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceTool, ConvertManifestEntryEscapesPaths)
+{
+    const auto dir = tmpDir();
+    const std::string tool = MEMPOD_TRACE_TOOL_PATH;
+    const std::string trc = (dir / "x.trc").string();
+    ASSERT_EQ(run(tool + " record xalanc " + trc + " 2000 42").status, 0);
+    // A directory name holding both characters JSON must escape; the
+    // shell's single quotes pass it through verbatim.
+    const auto odd = dir / "out \"q\" \\ dir";
+    std::filesystem::create_directories(odd);
+    const std::string stem = (odd / "x").string();
+    const CmdResult r =
+        run(tool + " convert " + trc + " '" + stem + "' champsim");
+    ASSERT_EQ(r.status, 0) << r.out;
+
+    // The entry is everything after the "manifest entry" line.
+    const std::size_t at = r.out.find('\n', r.out.find("manifest entry"));
+    ASSERT_NE(at, std::string::npos) << r.out;
+    const json::Parsed p = json::parse(std::string_view(r.out).substr(at));
+    ASSERT_FALSE(p.error) << p.error->what << ": " << r.out;
+    EXPECT_EQ(p.value.find("format")->text(), "champsim");
+    const json::Value *files = p.value.find("files");
+    ASSERT_NE(files, nullptr) << r.out;
+    ASSERT_FALSE(files->items().empty()) << r.out;
+    for (const json::Value &f : files->items()) {
+        const std::string path = f.find("path")->text();
+        EXPECT_EQ(path, stem + ".core" +
+                            std::to_string(f.find("core")->asU64().value_or(
+                                ~0ull)) +
+                            ".champsim");
+        EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    }
     std::filesystem::remove_all(dir);
 }
 

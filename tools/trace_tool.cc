@@ -104,23 +104,6 @@ cmdRecord(int argc, char **argv)
     return 0;
 }
 
-/** The traces.json entry that replays a convert's output, verbatim. */
-void
-printManifestEntry(const char *fmt_line,
-                   const std::vector<std::pair<std::string, unsigned>>
-                       &files)
-{
-    std::printf("manifest entry (paste into traces.json "
-                "\"traces\": [...]):\n");
-    std::printf("  {%s,\n   \"files\": [", fmt_line);
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        std::printf("%s{\"path\": \"%s\", \"core\": %u}",
-                    i ? ",\n              " : "", files[i].first.c_str(),
-                    files[i].second);
-    }
-    std::printf("]}\n");
-}
-
 int
 cmdConvert(int argc, char **argv)
 {
@@ -162,6 +145,19 @@ cmdConvert(int argc, char **argv)
 
     NativeTraceSource source(pos[0]);
     const std::string fmt = pos[2];
+    if (fmt != "champsim" && fmt != "sift") {
+        std::fprintf(stderr,
+                     "unknown convert format '%s' (use champsim or "
+                     "sift)\n",
+                     fmt.c_str());
+        return 2;
+    }
+    // The traces.json entry that replays the converted files.
+    std::string entry;
+    json::Writer w(entry, {json::ColonSpace::kAlways});
+    w.beginObject(json::Wrap::kLines)
+        .member("name", "NAME")
+        .member("format", fmt);
     std::vector<std::pair<std::string, unsigned>> files;
     if (fmt == "champsim") {
         const ChampSimConvertResult res =
@@ -172,14 +168,10 @@ cmdConvert(int argc, char **argv)
                     "file(s)\n",
                     static_cast<unsigned long long>(res.records),
                     files.size());
-        char fmt_line[160];
-        std::snprintf(fmt_line, sizeof fmt_line,
-                      "\"name\": \"NAME\", \"format\": \"champsim\", "
-                      "\"timing\": \"%s\", \"addr_bias\": %llu",
-                      timing == ChampSimTiming::kIp ? "ip" : "period",
-                      static_cast<unsigned long long>(addr_bias));
-        printManifestEntry(fmt_line, files);
-    } else if (fmt == "sift") {
+        w.member("timing",
+                 timing == ChampSimTiming::kIp ? "ip" : "period")
+            .member("addr_bias", addr_bias);
+    } else {
         const SiftConvertResult res =
             convertToSift(source, pos[1], period_ps);
         for (const auto &f : res.files)
@@ -187,19 +179,16 @@ cmdConvert(int argc, char **argv)
         std::printf("converted %llu records into %zu SIFT file(s)\n",
                     static_cast<unsigned long long>(res.records),
                     files.size());
-        char fmt_line[160];
-        std::snprintf(fmt_line, sizeof fmt_line,
-                      "\"name\": \"NAME\", \"format\": \"sift\", "
-                      "\"period_ps\": %llu",
-                      static_cast<unsigned long long>(period_ps));
-        printManifestEntry(fmt_line, files);
-    } else {
-        std::fprintf(stderr,
-                     "unknown convert format '%s' (use champsim or "
-                     "sift)\n",
-                     fmt.c_str());
-        return 2;
+        w.member("period_ps", period_ps);
     }
+    w.key("files").beginArray(json::Wrap::kLines);
+    for (const auto &[path, core] : files)
+        w.beginObject().member("path", path).member("core", core)
+            .endObject();
+    w.endArray().endObject();
+    std::printf("manifest entry (append it to the \"traces\" array of "
+                "traces.json):\n%s\n",
+                entry.c_str());
     return 0;
 }
 
@@ -343,63 +332,59 @@ cmdSummary(int argc, char **argv)
         }
     }
 
+    auto byDur = [](const Span &a, const Span &b) {
+        return a.durUs() > b.durUs();
+    };
+    std::sort(demands.begin(), demands.end(), byDur);
+    std::sort(migrations.begin(), migrations.end(), byDur);
+    auto totalUs = [](const std::vector<Span> &v) {
+        double t = 0;
+        for (const Span &s : v)
+            t += s.durUs();
+        return t;
+    };
     if (as_json) {
-        auto byDur = [](const Span &a, const Span &b) {
-            return a.durUs() > b.durUs();
+        std::string out;
+        json::Writer w(out);
+        // Each group's count, total span time and (for `top`) its
+        // topk longest spans, into the open object.
+        auto spans = [&](const std::vector<Span> &v, bool top) {
+            w.member("complete", v.size())
+                .key("total_us")
+                .fixed(totalUs(v), 3);
+            if (!top)
+                return;
+            w.key("top").beginArray();
+            for (std::size_t i = 0; i < std::min(topk, v.size()); ++i)
+                w.beginObject()
+                    .member("id", v[i].id)
+                    .key("begin_us")
+                    .fixed(v[i].beginUs, 3)
+                    .key("dur_us")
+                    .fixed(v[i].durUs(), 3)
+                    .endObject();
+            w.endArray();
         };
-        std::sort(demands.begin(), demands.end(), byDur);
-        std::sort(migrations.begin(), migrations.end(), byDur);
-        auto totalUs = [](const std::vector<Span> &v) {
-            double t = 0;
-            for (const Span &s : v)
-                t += s.durUs();
-            return t;
-        };
-        auto spanArray = [topk](const std::vector<Span> &v) {
-            std::string out = "[";
-            for (std::size_t i = 0; i < std::min(topk, v.size()); ++i) {
-                char buf[160];
-                std::snprintf(buf, sizeof buf,
-                              "%s{\"id\":\"%s\",\"begin_us\":%.3f,"
-                              "\"dur_us\":%.3f}",
-                              i ? "," : "", v[i].id.c_str(),
-                              v[i].beginUs, v[i].durUs());
-                out += buf;
-            }
-            return out + "]";
-        };
-        std::printf("{\"schema\":\"mempod-trace-summary-v1\",");
-        std::printf("\"events\":%llu,\"unmatched_ends\":%llu,"
-                    "\"open_spans\":%zu,",
-                    static_cast<unsigned long long>(events),
-                    static_cast<unsigned long long>(unmatched),
-                    open.size());
-        std::printf("\"counts\":{");
-        bool first = true;
-        for (const auto &[k, n] : counts) {
-            std::printf("%s\"%s\":%llu", first ? "" : ",", k.c_str(),
-                        static_cast<unsigned long long>(n));
-            first = false;
-        }
-        std::printf("},\"markers\":{");
-        first = true;
-        for (const auto &[k, n] : instants) {
-            std::printf("%s\"%s\":%llu", first ? "" : ",", k.c_str(),
-                        static_cast<unsigned long long>(n));
-            first = false;
-        }
-        std::printf("},");
-        std::printf("\"demands\":{\"complete\":%zu,\"total_us\":%.3f,"
-                    "\"top\":%s},",
-                    demands.size(), totalUs(demands),
-                    spanArray(demands).c_str());
-        std::printf("\"migrations\":{\"complete\":%zu,"
-                    "\"total_us\":%.3f,\"top\":%s},",
-                    migrations.size(), totalUs(migrations),
-                    spanArray(migrations).c_str());
-        std::printf("\"blocked\":{\"complete\":%zu,\"total_us\":%.3f}",
-                    blocked.size(), totalUs(blocked));
-        std::printf("}\n");
+        w.beginObject()
+            .member("schema", "mempod-trace-summary-v1")
+            .member("events", events)
+            .member("unmatched_ends", unmatched)
+            .member("open_spans", open.size())
+            .key("counts")
+            .beginObject();
+        for (const auto &[k, n] : counts)
+            w.member(k, n);
+        w.endObject().key("markers").beginObject();
+        for (const auto &[k, n] : instants)
+            w.member(k, n);
+        w.endObject().key("demands").beginObject();
+        spans(demands, true);
+        w.endObject().key("migrations").beginObject();
+        spans(migrations, true);
+        w.endObject().key("blocked").beginObject();
+        spans(blocked, false);
+        w.endObject().endObject();
+        std::printf("%s\n", out.c_str());
         return 0;
     }
 
@@ -413,10 +398,6 @@ cmdSummary(int argc, char **argv)
         std::printf("  %-24s %llu\n", k.c_str(),
                     static_cast<unsigned long long>(n));
 
-    auto byDur = [](const Span &a, const Span &b) {
-        return a.durUs() > b.durUs();
-    };
-    std::sort(demands.begin(), demands.end(), byDur);
     std::printf("\ntop %zu longest sampled demand requests:\n",
                 std::min(topk, demands.size()));
     for (std::size_t i = 0; i < std::min(topk, demands.size()); ++i)
@@ -427,12 +408,8 @@ cmdSummary(int argc, char **argv)
     // Interference windows: for each migration, how many sampled
     // demand spans overlap it in time (they contended for the same
     // banks or were parked behind its page locks).
-    std::sort(migrations.begin(), migrations.end(), byDur);
-    double migUs = 0;
-    for (const Span &m : migrations)
-        migUs += m.durUs();
     std::printf("\nmigrations: %zu complete, total span %.3f us\n",
-                migrations.size(), migUs);
+                migrations.size(), totalUs(migrations));
     for (std::size_t i = 0; i < std::min(topk, migrations.size());
          ++i) {
         const Span &m = migrations[i];
@@ -445,12 +422,9 @@ cmdSummary(int argc, char **argv)
                     m.id.c_str(), m.beginUs, m.durUs(),
                     static_cast<unsigned long long>(overlap));
     }
-    double blockedUs = 0;
-    for (const Span &b : blocked)
-        blockedUs += b.durUs();
     std::printf("\nblocked windows: %zu sampled demands parked behind "
                 "migrations, total %.3f us\n",
-                blocked.size(), blockedUs);
+                blocked.size(), totalUs(blocked));
     if (!instants.empty()) {
         std::printf("\nmarkers:");
         for (const auto &[k, n] : instants)
