@@ -69,8 +69,30 @@ class RemapTable
     /** Verify the permutation invariant; panics on corruption. */
     void checkConsistency() const;
 
+    /** nextVictimSlot() result when every fast slot is skipped. */
+    static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
+
+    /**
+     * Rotating victim scan: the next fast slot, from where the last
+     * scan stopped, whose resident `skip(resident)` does not reject;
+     * kNoSlot when it rejects them all.
+     */
+    template <typename Skip>
+    std::uint64_t
+    nextVictimSlot(Skip skip)
+    {
+        for (std::uint64_t n = 0; n < fastSlots_; ++n) {
+            const std::uint64_t slot = victimScan_;
+            victimScan_ = (victimScan_ + 1) % fastSlots_;
+            if (!skip(residentOf(slot)))
+                return slot;
+        }
+        return kNoSlot;
+    }
+
   private:
     std::uint64_t fastSlots_;
+    std::uint64_t victimScan_ = 0; //!< rotating victim-scan cursor
     std::uint64_t occupiedFast_ = 0; //!< fast slots holding a guest page
     std::vector<std::uint32_t> location_; //!< orig -> slot
     std::vector<std::uint32_t> resident_; //!< slot -> orig

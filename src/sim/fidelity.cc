@@ -139,7 +139,7 @@ void
 FidelityController::finish() const
 {
     if (stats_.count() < params_.minWindows) {
-        MEMPOD_PANIC(
+        MEMPOD_FATAL(
             "sampled simulation completed only %llu of the required "
             "%u measurement windows; shorten sim.sampling.measure_ps/"
             "fastfwd_ps (period is %llu ps) or extend the trace",

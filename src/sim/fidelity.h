@@ -28,9 +28,9 @@
  * (the SMARTS estimator). The 95% CI half-width is t(n-1) * s / sqrt(n)
  * with the exact two-sided Student-t critical value for df <= 30 and
  * the normal 1.96 beyond. A run that completes fewer than `minWindows`
- * measurement windows panics: the estimate would be statistically
- * meaningless, and the fix (shorter windows via sim.sampling.*) is a
- * configuration change the user must make.
+ * measurement windows exits with a fatal error: the estimate would be
+ * statistically meaningless, and the fix (shorter windows via
+ * sim.sampling.*) is a configuration change the user must make.
  */
 #pragma once
 
@@ -94,8 +94,8 @@ class FidelityController
     void begin();
 
     /**
-     * End-of-run validation: panics when fewer than `minWindows`
-     * measurement windows completed.
+     * End-of-run validation: a fatal error (exit 1) when fewer than
+     * `minWindows` measurement windows completed.
      */
     void finish() const;
 

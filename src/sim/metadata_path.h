@@ -4,7 +4,8 @@
  * THM (Section 6.3.3): a MetadataCache probe whose misses inject a
  * blocking read into the memory stream (no priority over demand
  * traffic) and wake every access waiting on the same metadata block
- * when the fill returns.
+ * when the fill returns. The path charges its owner's hit/miss counts
+ * and the demand time spent waiting on fills.
  */
 #pragma once
 
@@ -16,6 +17,7 @@
 #include "common/callback.h"
 #include "common/event_queue.h"
 #include "common/metrics.h"
+#include "mem/manager.h"
 #include "mem/memory_system.h"
 #include "sim/metadata_cache.h"
 
@@ -35,14 +37,19 @@ class MetadataPath
      */
     using ReadyFn = MoveFunction<void(), 176>;
 
-    MetadataPath(EventQueue &eq, MemorySystem &mem,
+    /**
+     * @param charge The owner's MigrationStats: metaCacheHits,
+     *        metaCacheMisses and metadataPs land here.
+     */
+    MetadataPath(EventQueue &eq, MemorySystem &mem, MigrationStats &charge,
                  std::uint64_t capacity_bytes, std::uint32_t assoc,
                  std::uint32_t entry_bytes, BlockAddrFn block_addr);
 
     /**
      * Access the entry's metadata: `ready` runs immediately on a hit,
      * or after the injected backing-store read completes on a miss
-     * (piggybacking on an outstanding fill of the same block).
+     * (piggybacking on an outstanding fill of the same block). A miss
+     * charges the wait until `ready` runs to metadataPs.
      */
     void access(std::uint64_t entry_idx, ReadyFn ready);
 
@@ -57,12 +64,20 @@ class MetadataPath
                          const std::string &prefix) const;
 
   private:
+    /** An access waiting on a fill, and when it started waiting. */
+    struct Waiter
+    {
+        ReadyFn ready;
+        TimePs since;
+    };
+
     EventQueue &eq_;
     MemorySystem &mem_;
+    MigrationStats &charge_;
     MetadataCache cache_;
     BlockAddrFn blockAddr_;
     std::uint64_t fills_ = 0; //!< injected backing-store reads
-    std::unordered_map<std::uint64_t, std::vector<ReadyFn>> pending_;
+    std::unordered_map<std::uint64_t, std::vector<Waiter>> pending_;
 };
 
 } // namespace mempod

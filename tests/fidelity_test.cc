@@ -114,20 +114,21 @@ TEST(FidelityDeath, FunctionalMeasurementModelPanics)
     EXPECT_DEATH(Simulation sim(c), "not a measurement model");
 }
 
-TEST(FidelityDeath, TooFewWindowsPanicsAtFinish)
+TEST(FidelityDeath, TooFewWindowsIsFatalAtFinish)
 {
     SimConfig c = tinyConfig(Mechanism::kMemPod);
     c.sampling.enabled = true;
     // A fast-forward window longer than the whole trace: zero
-    // measurement windows ever complete.
+    // measurement windows ever complete. A trace too short for the
+    // sampling plan is a user error: exit 1 with a message, no abort.
     c.sampling.fastfwdPs = 1'000'000'000'000;
     const Trace t = tinyTrace(4000);
-    EXPECT_DEATH(
+    EXPECT_EXIT(
         {
             Simulation sim(c);
             sim.run(t, "xalanc");
         },
-        "measurement windows");
+        ::testing::ExitedWithCode(1), "completed only");
 }
 
 // ---------------------------------------------------------------

@@ -62,24 +62,34 @@ struct PathFixture : ::testing::Test
     EventQueue eq;
     MemorySystem mem{eq, SystemGeometry::tiny(), DramSpec::hbm1GHz(),
                      DramSpec::ddr4_1600()};
+    MigrationStats charged;
 };
 
 TEST_F(PathFixture, MissInjectsExactlyOneBlockingRead)
 {
-    MetadataPath path(eq, mem, 1024, 4, 4,
+    MetadataPath path(eq, mem, charged, 1024, 4, 4,
                       [](std::uint64_t block) { return block * 64; });
     int ready = 0;
-    path.access(7, [&] { ++ready; });
+    TimePs ready_at = 0;
+    path.access(7, [&] {
+        ++ready;
+        ready_at = eq.now();
+    });
     EXPECT_EQ(ready, 0); // blocked on the fill
     EXPECT_EQ(path.outstandingFills(), 1u);
     eq.runAll();
     EXPECT_EQ(ready, 1);
     EXPECT_EQ(mem.stats().bookkeepingLines(), 1u);
+    // The miss and its fill wait are charged to the owner.
+    EXPECT_EQ(charged.metaCacheMisses, 1u);
+    EXPECT_EQ(charged.metaCacheHits, 0u);
+    EXPECT_GT(ready_at, 0u);
+    EXPECT_EQ(charged.metadataPs, ready_at); // asked at time 0
 }
 
 TEST_F(PathFixture, HitRunsSynchronously)
 {
-    MetadataPath path(eq, mem, 1024, 4, 4,
+    MetadataPath path(eq, mem, charged, 1024, 4, 4,
                       [](std::uint64_t block) { return block * 64; });
     path.access(7, [] {});
     eq.runAll();
@@ -87,11 +97,13 @@ TEST_F(PathFixture, HitRunsSynchronously)
     path.access(7, [&] { ++ready; });
     EXPECT_EQ(ready, 1); // no event needed
     EXPECT_EQ(mem.stats().bookkeepingLines(), 1u);
+    EXPECT_EQ(charged.metaCacheHits, 1u);
+    EXPECT_EQ(charged.metaCacheMisses, 1u);
 }
 
 TEST_F(PathFixture, ConcurrentMissesToOneBlockPiggyback)
 {
-    MetadataPath path(eq, mem, 1024, 4, 4,
+    MetadataPath path(eq, mem, charged, 1024, 4, 4,
                       [](std::uint64_t block) { return block * 64; });
     int ready = 0;
     path.access(8, [&] { ++ready; });
@@ -105,7 +117,7 @@ TEST_F(PathFixture, ConcurrentMissesToOneBlockPiggyback)
 TEST_F(PathFixture, BackingAddressMappingUsed)
 {
     Addr asked = 0;
-    MetadataPath path(eq, mem, 1024, 4, 4, [&](std::uint64_t block) {
+    MetadataPath path(eq, mem, charged, 1024, 4, 4, [&](std::uint64_t block) {
         asked = 4096 + block * 64;
         return asked;
     });

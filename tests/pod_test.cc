@@ -33,8 +33,8 @@ struct PodFixture : ::testing::Test
     demand(Pod &pod, PageId page, std::uint64_t offset = 0)
     {
         int completions = 0;
-        pod.handleDemand(page, offset,
-                         {.arrival = eq.now(),
+        pod.handleDemand({.homeAddr = AddressMap::addrOfPage(page) + offset,
+                          .arrival = eq.now(),
                           .done = [&](TimePs) { ++completions; }});
         eq.runAll();
         return completions;
@@ -137,8 +137,8 @@ TEST_F(PodFixture, RequestsBlockedDuringMigrationDrainAfterCommit)
     // Without draining the event queue, issue a demand to the
     // migrating page: it must be blocked, then complete after commit.
     int completions = 0;
-    pod.handleDemand(hot, 64,
-                     {.arrival = eq.now(),
+    pod.handleDemand({.homeAddr = AddressMap::addrOfPage(hot) + 64,
+                      .arrival = eq.now(),
                       .done = [&](TimePs) { ++completions; }});
     EXPECT_EQ(pod.stats().blockedRequests, 1u);
     EXPECT_EQ(completions, 0);

@@ -9,7 +9,7 @@
  *     the converted files, whatever characters their paths hold
  *   - perf_tool diff tolerates metric keys present in only one file
  *     (reports "(new)"/"(removed)" instead of crashing or silently
- *     skipping)
+ *     skipping), and rejects malformed numeric flags with exit 2
  *   - explain_tool's per-component attribution sums exactly to the
  *     measured AMMAT delta between two real runs
  */
@@ -219,6 +219,33 @@ TEST(PerfTool, DiffStillFailsOnGenuineRegression)
             (dir / "cur.json").string());
     EXPECT_EQ(r.status, 1);
     EXPECT_NE(r.out.find("REGRESSION"), std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(PerfTool, DiffRejectsMalformedNumericFlags)
+{
+    const auto dir = tmpDir();
+    writeText(dir / "base.json", "{\"events_per_second\": 100}");
+    writeText(dir / "cur.json", "{\"events_per_second\": 10}");
+    const std::string diff = std::string(MEMPOD_PERF_TOOL_PATH) +
+                             " diff " + (dir / "base.json").string() +
+                             " " + (dir / "cur.json").string();
+    // A value that is not a whole finite number, or is out of range,
+    // must not silently become a 0% threshold or a 0x gate.
+    for (const char *flags :
+         {"--threshold-pct abc", "--threshold-pct 5x", "--threshold-pct ''",
+          "--threshold-pct -5", "--threshold-pct inf",
+          "--threshold-pct nan", "--threshold-pct 1e999",
+          "--require-speedup abc", "--require-speedup 0",
+          "--require-speedup -2", "--require-speedup inf"}) {
+        const CmdResult r = run("(" + diff + " " + flags + " 2>&1)");
+        EXPECT_EQ(r.status, 2) << flags;
+        EXPECT_NE(r.out.find("needs a finite number"), std::string::npos)
+            << flags << ": " << r.out;
+        EXPECT_EQ(r.out.find("REGRESSION"), std::string::npos) << flags;
+    }
+    // Well-formed values still parse: a 95% drop passes a 99% bound.
+    EXPECT_EQ(run(diff + " --threshold-pct 99.5").status, 0);
     std::filesystem::remove_all(dir);
 }
 

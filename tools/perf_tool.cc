@@ -38,6 +38,8 @@
  * dotted-path FlatDoc in flat_doc.h, shared with explain_tool.
  */
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,6 +131,30 @@ trackedDirection(const std::string &key)
     return 0;
 }
 
+/**
+ * Parse `text` as the value of a numeric diff flag: the whole string
+ * must be a finite decimal number, at least `min` (and above it when
+ * `strict`). Prints a message and returns false otherwise.
+ */
+bool
+parseFlagNumber(const char *flag, const char *text, double min,
+                bool strict, double &out)
+{
+    const char *end = text + std::strlen(text);
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ptr == text || ptr != end || ec != std::errc{} ||
+        !std::isfinite(v) || v < min || (strict && v == min)) {
+        std::fprintf(stderr,
+                     "perf_tool diff: %s needs a finite number %s %g, "
+                     "got '%s'\n",
+                     flag, strict ? ">" : ">=", min, text);
+        return false;
+    }
+    out = v;
+    return true;
+}
+
 int
 cmdDiff(int argc, char **argv)
 {
@@ -138,16 +164,16 @@ cmdDiff(int argc, char **argv)
     std::vector<const char *> files;
     for (int i = 2; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--threshold-pct") && i + 1 < argc) {
-            threshold_pct = std::strtod(argv[++i], nullptr);
+            if (!parseFlagNumber(argv[i], argv[i + 1], 0.0, false,
+                                 threshold_pct))
+                return 2;
+            ++i;
         } else if (!std::strcmp(argv[i], "--require-speedup") &&
                    i + 1 < argc) {
-            require_speedup = std::strtod(argv[++i], nullptr);
-            if (require_speedup <= 0.0) {
-                std::fprintf(stderr,
-                             "perf_tool diff: --require-speedup needs "
-                             "a positive factor\n");
+            if (!parseFlagNumber(argv[i], argv[i + 1], 0.0, true,
+                                 require_speedup))
                 return 2;
-            }
+            ++i;
         } else if (!std::strcmp(argv[i], "--warn-only")) {
             warn_only = true;
         } else if (argv[i][0] == '-') {

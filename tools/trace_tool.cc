@@ -1,17 +1,16 @@
 /**
  * @file
- * Trace utility: generate workload traces to disk, inspect saved
+ * Trace utility: record workload traces to disk, inspect saved
  * traces, and print per-core composition — so experiments can be run
  * repeatedly against identical frozen inputs.
  *
  * Usage:
- *   trace_tool gen     <workload> <file.bin> [requests] [seed]
  *   trace_tool record  <workload> <file.trc> [requests] [seed]
  *                      [--manifest traces.json]...
  *   trace_tool convert <in.trc> <out-stem> champsim|sift
  *                      [--timing ip|period] [--period-ps N]
  *                      [--addr-bias N]
- *   trace_tool info    <file.bin>
+ *   trace_tool info    <file.trc>
  *   trace_tool summary <file.trace.json> [topk] [--json]
  *
  * `record` streams any catalog workload (synthetic, or external after
@@ -44,29 +43,6 @@
 namespace {
 
 using namespace mempod;
-
-int
-cmdGen(int argc, char **argv)
-{
-    if (argc < 4) {
-        std::fprintf(stderr,
-                     "usage: trace_tool gen <workload> <file.bin> "
-                     "[requests] [seed]\n");
-        return 2;
-    }
-    GeneratorConfig gc;
-    gc.totalRequests =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1'000'000;
-    gc.seed = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 42;
-    const Trace trace = WorkloadCatalog::global().build(argv[2], gc);
-    saveTrace(trace, argv[3]);
-    const TraceSummary s = summarize(trace);
-    std::printf("wrote %llu records (%.1f req/us, %.2f ms) to %s\n",
-                static_cast<unsigned long long>(s.records),
-                s.requestsPerUs,
-                static_cast<double>(s.duration) / 1e9, argv[3]);
-    return 0;
-}
 
 int
 cmdRecord(int argc, char **argv)
@@ -196,7 +172,7 @@ int
 cmdInfo(int argc, char **argv)
 {
     if (argc < 3) {
-        std::fprintf(stderr, "usage: trace_tool info <file.bin>\n");
+        std::fprintf(stderr, "usage: trace_tool info <file.trc>\n");
         return 2;
     }
     const Trace trace = loadTrace(argv[2]);
@@ -442,11 +418,9 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr, "usage: trace_tool "
-                             "gen|record|convert|info|summary ...\n");
+                             "record|convert|info|summary ...\n");
         return 2;
     }
-    if (!std::strcmp(argv[1], "gen"))
-        return cmdGen(argc, argv);
     if (!std::strcmp(argv[1], "record"))
         return cmdRecord(argc, argv);
     if (!std::strcmp(argv[1], "convert"))
