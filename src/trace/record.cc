@@ -7,12 +7,6 @@
 
 namespace mempod {
 
-void
-saveTrace(const Trace &trace, const std::string &path)
-{
-    writeNativeTrace(trace, path);
-}
-
 Trace
 loadTrace(const std::string &path)
 {

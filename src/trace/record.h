@@ -28,13 +28,8 @@ struct TraceRecord
 using Trace = std::vector<TraceRecord>;
 
 /**
- * Serialize a trace to the native on-disk format (versioned header;
- * see trace/native.h).
- */
-void saveTrace(const Trace &trace, const std::string &path);
-
-/**
- * Materialize a trace written by saveTrace. Fatal, with an actionable
+ * Materialize a trace in the native on-disk format (versioned header;
+ * see trace/native.h). Fatal, with an actionable
  * message, on foreign/truncated/version- or endian-mismatched files.
  * Streaming replay should use NativeTraceSource directly.
  */

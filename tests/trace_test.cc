@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "trace/generator.h"
+#include "trace/native.h"
 #include "trace/profiles.h"
 #include "trace/record.h"
 
@@ -181,7 +182,7 @@ TEST(TraceIo, SaveLoadRoundTrip)
 {
     const Trace t = generateTrace(eightCores("sphinx"), smallConfig());
     const std::string path = ::testing::TempDir() + "/trace.bin";
-    saveTrace(t, path);
+    writeNativeTrace(t, path);
     const Trace loaded = loadTrace(path);
     ASSERT_EQ(loaded.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
